@@ -22,12 +22,12 @@ from quditbell import (
 
 def show_run(d, state, rounds=50_000, noise=0.0, seed=42):
     config = ProtocolConfig(d=d, state=state, noise=noise, rounds=rounds, rng_seed=seed)
-    records, summary = run_protocol(config)
+    transcript, summary = run_protocol(config)
     print(f"d = {d}, rounds = {rounds}, noise = {noise}")
     print(f"  sift rate       {summary.sift_rate:.4f}   (expect ~1/{d} = {1 / d:.4f})")
     print(f"  agreement rate  {summary.agreement_rate:.4f}")
     t = builtin_operator(d)
-    v_hat, stderr = estimate_violation(records, t)
+    v_hat, stderr = estimate_violation(transcript, t)
     analytic = (1 - noise) * violation(state, t, protocol_basis(d))
     print(f"  violation est.  {v_hat:.4f} ± {stderr:.4f}   (analytic {analytic:.4f})\n")
     return summary

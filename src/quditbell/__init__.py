@@ -50,6 +50,7 @@ from .protocol import (
     InsufficientDataError,
     ProtocolConfig,
     RoundRecord,
+    Transcript,
     TranscriptSummary,
     correlation_spectrum,
     estimate_violation,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from importlib import metadata
 
@@ -81,14 +82,17 @@ def parse_state(spec: str, d: int):
     return algebra.make_state(d, deltas)
 
 
-def parse_theta(spec: str | None, d: int) -> complex | None:
-    """--theta is a phase angle in radians; the base phase becomes e^{i phi}."""
+def parse_theta(spec: str | None) -> complex | None:
+    """--theta is a finite phase angle in radians; the base phase becomes
+    e^{i phi}."""
     if spec is None:
         return None
     try:
         phi = float(spec)
     except ValueError:
         raise ValidationError(f"--theta must be a real angle in radians, got {spec!r}")
+    if not math.isfinite(phi):
+        raise ValidationError(f"--theta must be finite, got {spec!r}")
     return complex(np.exp(1j * phi))
 
 
@@ -113,12 +117,14 @@ def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> 
     }
     if args.format == "json":
         output = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "text":
+    else:
         output = text_renderer(result) + "\n"
-    else:  # csv is only meaningful for simulate transcripts; fall back to json
-        output = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write(output, args.out)
+
+
+def _write(output: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(output)
     else:
         sys.stdout.write(output)
@@ -131,7 +137,7 @@ def cmd_violation(args) -> int:
     d = args.d
     t = bell.builtin_operator(d)
     state = parse_state(args.state, d)
-    theta = parse_theta(args.theta, d)
+    theta = parse_theta(args.theta)
     if args.optimize:
         basis, v = bell.optimize_basis(state, t, theta)
     else:
@@ -175,12 +181,12 @@ def cmd_simulate(args) -> int:
         d=d,
         state=state,
         noise=args.noise,
-        theta=parse_theta(args.theta, d),
+        theta=parse_theta(args.theta),
         rounds=args.rounds,
         rng_seed=args.seed,
         mode=args.mode,
     )
-    records, summary = protocol.run_protocol(config)
+    transcript, summary = protocol.run_protocol(config)
 
     result = {
         "d": d,
@@ -193,7 +199,7 @@ def cmd_simulate(args) -> int:
         "key_length": len(summary.key_alice),
     }
     if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
-        v_hat, stderr = protocol.estimate_violation(records, bell.builtin_operator(d))
+        v_hat, stderr = protocol.estimate_violation(transcript, bell.builtin_operator(d))
         analytic = bell.violation(
             state, bell.builtin_operator(d), bell.protocol_basis(d, config.theta)
         )
@@ -202,16 +208,11 @@ def cmd_simulate(args) -> int:
         result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
 
     if args.transcript:
-        protocol.write_transcript_csv(records, args.transcript)
+        protocol.write_transcript_csv(transcript, args.transcript)
         result["transcript_file"] = args.transcript
-    if args.format == "csv" and not args.transcript:
+    if args.format == "csv":
         # csv output means the transcript itself
-        output = protocol.transcript_csv_string(records)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(output)
-        else:
-            sys.stdout.write(output)
+        _write(protocol.transcript_csv_string(transcript), args.out)
         return EXIT_OK
 
     def render(r):
@@ -279,7 +280,7 @@ def cmd_spectrum(args) -> int:
     state = parse_state(args.state, d)
     if not isinstance(state, algebra.EntangledState):
         raise ValidationError("spectrum requires a pure state spec")
-    spectrum = protocol.correlation_spectrum(state, parse_theta(args.theta, d))
+    spectrum = protocol.correlation_spectrum(state, parse_theta(args.theta))
     result = {
         "d": d,
         "state": args.state,
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True, theta=True):
+    def common(p, state=True, theta=True, formats=("json", "text")):
         p.add_argument("--d", type=int, required=True, help="qudit dimension")
         if state:
             p.add_argument(
@@ -316,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         if theta:
             p.add_argument("--theta", default=None, help="base phase angle in radians")
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument(
-            "--format", choices=["json", "csv", "text"], default="text"
-        )
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("violation", help="Bell violation factor of a state")
     common(p)
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_violation)
 
     p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
-    common(p)
+    common(p, formats=("json", "csv", "text"))
     p.add_argument("--rounds", type=int, default=10_000)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("security", help="criterion table and protocol comparison")
     p.add_argument("--d-list", default=None, help="comma-separated dimensions for comparison")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_security)
 
     p = sub.add_parser("lhv", help="exhaustive local-realism bound check")

@@ -6,6 +6,14 @@ detector fired.  Rounds with matching basis choices are sifted into key dits;
 all other rounds feed the Bell-violation estimate used to detect
 eavesdropping.
 
+A run's rounds are kept as a columnar :class:`Transcript`: integer columns
+for Alice's basis a, Bob's basis b and the detectors k, k' that fired, plus
+each party's (bases x d) table of complex outcome labels.  Sifting, the
+per-basis-pair summary, the violation estimate and the CSV export each work
+on whole columns; iterating a transcript yields one :class:`RoundRecord` per
+round for callers that want row objects, and ``Transcript.from_records``
+turns such rows back into columns.
+
 Two modes are supported:
 
 * ``hdDEB``: d bases per party, the a-th basis realizing the homogeneous
@@ -18,10 +26,9 @@ Two modes are supported:
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +100,121 @@ class RoundRecord:
     bob_outcome: complex
 
 
+def _require_range(column: np.ndarray, bound: int, what: str) -> None:
+    if len(column) and (column.min() < 0 or column.max() >= bound):
+        raise ValueError(f"{what} out of range [0, {bound})")
+
+
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """The rounds of one run as columns; row i is round i.
+
+    ``a`` and ``b`` are the basis choices, ``k`` and ``kp`` the detectors
+    that fired (``k'`` in the CSV).  ``alice_labels[a, k]`` and
+    ``bob_labels[b, kp]`` are the complex outcome labels those detectors
+    report.  The columns are stored read-only in the narrowest unsigned
+    dtype that holds them.
+    """
+
+    d: int
+    a: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
+    kp: np.ndarray
+    alice_labels: np.ndarray  # (Alice's bases, d)
+    bob_labels: np.ndarray  # (Bob's bases, d)
+
+    def __post_init__(self):
+        bounds = {
+            "a": len(self.alice_labels), "b": len(self.bob_labels), "k": self.d, "kp": self.d
+        }
+        dtype = np.min_scalar_type(max(bounds.values()))
+        shape = np.shape(self.a)
+        for name, bound in bounds.items():
+            column = np.asarray(getattr(self, name))
+            if len(shape) != 1 or column.shape != shape:
+                raise ValueError("transcript columns must be one-dimensional and of equal length")
+            _require_range(column, bound, f"column {name}")
+            column = column.astype(dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Iterable[RoundRecord], d: int) -> "Transcript":
+        """Columns of per-round rows.  Row i must have index i, and rows
+        measured in one basis must agree on each detector's label."""
+        rows = list(records)
+        if any(r.index != i for i, r in enumerate(rows)):
+            raise ValueError("record indices must run 0, 1, 2, ... in order")
+        a, b, k, kp = np.array(
+            [(r.a, r.b, r.alice_detector, r.bob_detector) for r in rows], dtype=np.int64
+        ).reshape(-1, 4).T
+        tables = []
+        for basis, detector, outcomes in (
+            (a, k, [r.alice_outcome for r in rows]),
+            (b, kp, [r.bob_outcome for r in rows]),
+        ):
+            _require_range(detector, d, "detector index")
+            outcomes = np.array(outcomes, dtype=complex)
+            table = np.full((basis.max() + 1 if len(rows) else 0, d), complex(np.nan, np.nan))
+            table[basis, detector] = outcomes
+            if not np.array_equal(table[basis, detector], outcomes):
+                raise ValueError("records disagree on a detector's label within one basis")
+            tables.append(table)
+        return cls(d, a, b, k, kp, *tables)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        columns = (
+            self.a.tolist(),
+            self.b.tolist(),
+            self.k.tolist(),
+            self.kp.tolist(),
+            self.alice_labels[self.a, self.k].tolist(),
+            self.bob_labels[self.b, self.kp].tolist(),
+        )
+        for i, row in enumerate(zip(*columns)):
+            yield RoundRecord(i, *row)
+
+
+def _as_transcript(rounds: Transcript | Iterable[RoundRecord], d: int | None) -> Transcript:
+    if isinstance(rounds, Transcript):
+        if d is not None and d != rounds.d:
+            raise DimensionMismatchError(f"transcript dimension {rounds.d} != {d}")
+        return rounds
+    if d is None:
+        raise TypeError("the dimension d is needed to read RoundRecord rows")
+    return Transcript.from_records(rounds, d)
+
+
+def _pair_samples(transcript: Transcript) -> dict[tuple[int, int], np.ndarray]:
+    """Outcome-label products alice * bob grouped by basis pair (a, b).
+
+    Pairs come in order of first appearance and each pair's samples in round
+    order, so sums and moments see the values in the order a round-by-round
+    pass would.  The product is formed from real and imaginary parts exactly
+    as Python multiplies two complex numbers; numpy's complex multiply can
+    differ from it in the last bit.
+    """
+    x = transcript.alice_labels[transcript.a, transcript.k]
+    y = transcript.bob_labels[transcript.b, transcript.kp]
+    products = np.empty(len(transcript), dtype=complex)
+    products.real = x.real * y.real - x.imag * y.imag
+    products.imag = x.real * y.imag + x.imag * y.real
+
+    n_b = len(transcript.bob_labels)
+    code = transcript.a.astype(np.intp) * n_b + transcript.b
+    order = np.argsort(code, kind="stable")
+    codes, first, counts = np.unique(code, return_index=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return {
+        divmod(int(codes[i]), n_b): products[order[ends[i] - counts[i] : ends[i]]]
+        for i in np.argsort(first)
+    }
+
+
 @dataclass(frozen=True)
 class TranscriptSummary:
     sift_rate: float
@@ -156,7 +278,7 @@ def _ndeb_observables(config: ProtocolConfig) -> tuple[list, list]:
     return alice, bob
 
 
-def run_protocol(config: ProtocolConfig) -> tuple[list[RoundRecord], TranscriptSummary]:
+def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]:
     """Simulate the full round sequence with a seeded generator.
 
     Basis indices are drawn uniformly and independently for both parties;
@@ -200,58 +322,54 @@ def run_protocol(config: ProtocolConfig) -> tuple[list[RoundRecord], TranscriptS
         k_out[mask] = flat // d
         kp_out[mask] = flat % d
 
-    records = [
-        RoundRecord(
-            index=i,
-            a=int(a_draws[i]),
-            b=int(b_draws[i]),
-            alice_detector=int(k_out[i]),
-            bob_detector=int(kp_out[i]),
-            alice_outcome=complex(alice_obs[a_draws[i]].labels[k_out[i]]),
-            bob_outcome=complex(bob_obs[b_draws[i]].labels[kp_out[i]]),
-        )
-        for i in range(config.rounds)
-    ]
-    return records, summarize(records, d)
+    labels = [np.stack([o.labels for o in obs]) for obs in (alice_obs, bob_obs)]
+    transcript = Transcript(d, a_draws, b_draws, k_out, kp_out, *labels)
+    return transcript, summarize(transcript)
 
 
 def sift(
-    records: Iterable[RoundRecord], d: int
+    transcript: Transcript | Iterable[RoundRecord], d: int | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...], float, bool]:
     """Extract the key from matched-basis rounds.
 
     Alice's dit is her detector index k; Bob's is (d - k') mod d, so the
     perfect-correlation support k + k' = 0 mod d turns into equal dits.
     Returns (key_alice, key_bob, agreement_rate, agreement_defined); the rate
-    is flagged undefined when no round survives sifting.
+    is flagged undefined when no round survives sifting.  ``d`` is needed
+    only for RoundRecord rows.
     """
-    key_a, key_b = [], []
-    for r in records:
-        if r.a == r.b:
-            key_a.append(r.alice_detector)
-            key_b.append((d - r.bob_detector) % d)
-    if not key_a:
+    transcript = _as_transcript(transcript, d)
+    d = transcript.d
+    matched = transcript.a == transcript.b
+    key_a = transcript.k[matched].astype(np.intp)
+    key_b = (d - transcript.kp[matched].astype(np.intp)) % d
+    if not len(key_a):
         return (), (), float("nan"), False
-    agree = sum(x == y for x, y in zip(key_a, key_b)) / len(key_a)
-    return tuple(key_a), tuple(key_b), agree, True
+    agree = int(np.count_nonzero(key_a == key_b)) / len(key_a)
+    return tuple(key_a.tolist()), tuple(key_b.tolist()), agree, True
 
 
-def summarize(records: Sequence[RoundRecord], d: int) -> TranscriptSummary:
+def summarize(
+    transcript: Transcript | Iterable[RoundRecord], d: int | None = None
+) -> TranscriptSummary:
     """Sift the transcript and tabulate per-basis-pair correlations."""
-    key_a, key_b, agreement, defined = sift(records, d)
-    sums: dict[tuple[int, int], complex] = {}
+    transcript = _as_transcript(transcript, d)
+    key_a, key_b, agreement, defined = sift(transcript)
+    correlations: dict[tuple[int, int], complex] = {}
     counts: dict[tuple[int, int], int] = {}
-    for r in records:
-        pair = (r.a, r.b)
-        sums[pair] = sums.get(pair, 0j) + r.alice_outcome * r.bob_outcome
-        counts[pair] = counts.get(pair, 0) + 1
+    for pair, samples in _pair_samples(transcript).items():
+        # a sequential sum from 0j: pairwise summation, or a start at the
+        # first sample, would change the last bits or the sign of a zero
+        total = np.cumsum(np.r_[0j, samples])[-1]
+        correlations[pair] = complex(total) / len(samples)
+        counts[pair] = len(samples)
     return TranscriptSummary(
-        sift_rate=len(key_a) / len(records) if records else 0.0,
+        sift_rate=len(key_a) / len(transcript) if len(transcript) else 0.0,
         key_alice=key_a,
         key_bob=key_b,
         agreement_rate=agreement,
         agreement_defined=defined,
-        pair_correlations={p: sums[p] / counts[p] for p in sums},
+        pair_correlations=correlations,
         pair_counts=counts,
     )
 
@@ -263,7 +381,7 @@ def default_basis_map(t: BellOperator) -> dict[BellMonomial, tuple[int, int]]:
 
 
 def estimate_violation(
-    records: Sequence[RoundRecord],
+    transcript: Transcript | Iterable[RoundRecord],
     t: BellOperator,
     basis_map: Mapping[BellMonomial, tuple[int, int]] | None = None,
 ) -> tuple[float, float]:
@@ -277,9 +395,7 @@ def estimate_violation(
     if basis_map is None:
         basis_map = default_basis_map(t)
     d = t.d
-    by_pair: dict[tuple[int, int], list[complex]] = {}
-    for r in records:
-        by_pair.setdefault((r.a, r.b), []).append(r.alice_outcome * r.bob_outcome)
+    by_pair = _pair_samples(_as_transcript(transcript, d))
 
     starved = [basis_map[m] for m in t.monomials if basis_map[m] not in by_pair]
     if starved:
@@ -290,7 +406,7 @@ def estimate_violation(
     v_hat = 0.0
     variance = 0.0
     for m in t.monomials:
-        samples = np.asarray(by_pair[basis_map[m]])
+        samples = by_pair[basis_map[m]]
         contrib = (phase * m.coefficient * samples).real / norm
         n = len(contrib)
         v_hat += float(contrib.mean())
@@ -324,21 +440,17 @@ def correlation_spectrum(
     return np.abs(c) ** 2 / d
 
 
-def write_transcript_csv(records: Iterable[RoundRecord], path) -> None:
-    """Transcript export: one row per round with basis and detector indices."""
+def transcript_csv_string(transcript: Transcript) -> str:
+    """Transcript export: header ``round,a,b,k,k'`` and one row per round,
+    every line ended by ``\\r\\n`` as ``csv.writer`` ends them."""
+    n = len(transcript)
+    cells = np.column_stack(
+        (np.arange(n), transcript.a, transcript.b, transcript.k, transcript.kp)
+    )
+    return "round,a,b,k,k'\r\n" + ("%d,%d,%d,%d,%d\r\n" * n) % tuple(cells.ravel().tolist())
+
+
+def write_transcript_csv(transcript: Transcript, path) -> None:
+    """Write ``transcript_csv_string(transcript)`` to ``path``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "a", "b", "k", "k'"])
-        for r in records:
-            writer.writerow([r.index, r.a, r.b, r.alice_detector, r.bob_detector])
-
-
-def transcript_csv_string(records: Iterable[RoundRecord]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "a", "b", "k", "k'"])
-    for r in records:
-        writer.writerow([r.index, r.a, r.b, r.alice_detector, r.bob_detector])
-    return buf.getvalue()
+        fh.write(transcript_csv_string(transcript))

@@ -8,7 +8,6 @@ dimension, taken from the published cloner analysis rather than re-derived).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -161,10 +160,6 @@ def criterion_table(ds=(3, 4, 5, 6, 7, 8, 9, math.inf)) -> dict:
             }
         )
     return {"rows": rows}
-
-
-def criterion_table_json(ds=(3, 4, 5, 6, 7, 8, 9, math.inf), indent: int | None = 2) -> str:
-    return json.dumps(criterion_table(ds), indent=indent)
 
 
 def criterion_table_text(ds=(3, 4, 5, 6, 7, 8, 9, math.inf)) -> str:

@@ -184,3 +184,43 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     validate(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["simulate", "violation", "spectrum"])
+def test_non_finite_theta_exits_2(command, theta, capsys):
+    argv = [command, "--d", "3", f"--theta={theta}"]
+    if command == "simulate":
+        argv += ["--rounds", "2000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--theta must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhv", "--d", "3"],
+        ["violation", "--d", "3"],
+        ["security"],
+        ["spectrum", "--d", "3"],
+    ],
+)
+def test_csv_format_outside_simulate_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
+def test_simulate_csv_format_with_transcript_file(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--d", "3", "--rounds", "100", "--seed", "1",
+        "--format", "csv", "--transcript", str(path),
+    )
+    assert code == 0
+    assert out == path.read_bytes().decode()

@@ -1,0 +1,290 @@
+"""Byte-level goldens of the simulator output, and a per-round oracle.
+
+The goldens pin the sha256 of the transcript CSV, of
+``TranscriptSummary.to_json()`` and of the CLI ``result`` payload, plus the
+exact ``repr`` of ``estimate_violation``, for four fixed configurations.
+They were captured from the per-round ``RoundRecord`` implementation that the
+columnar ``Transcript`` replaced, so they hold the columnar code to the old
+bytes.  Floating-point results depend on numpy and the CPU features it
+dispatches on, so the goldens are compared only on the platform that
+recorded them; the oracle tests below run everywhere.
+"""
+import hashlib
+import json
+import platform
+
+import numpy as np
+import pytest
+
+from quditbell import cli
+from quditbell.algebra import (
+    DimensionMismatchError,
+    make_state,
+    maximally_entangled,
+    psi3,
+    psi5,
+    roots_of_unity,
+)
+from quditbell.bell import builtin_operator, classical_norm, rotation_phase
+from quditbell.protocol import (
+    HDDEB_MODE,
+    NDEB_MODE,
+    InsufficientDataError,
+    ProtocolConfig,
+    RoundRecord,
+    Transcript,
+    default_basis_map,
+    estimate_violation,
+    run_protocol,
+    sift,
+    summarize,
+    transcript_csv_string,
+)
+
+CASES = {
+    "criterion-10": dict(d=3, state=psi3, noise=0.2, rounds=100_000, seed=10, mode=HDDEB_MODE),
+    "criterion-11": dict(
+        d=4, state=lambda: maximally_entangled(4), noise=0.1, rounds=5_000, seed=123,
+        mode=HDDEB_MODE,
+    ),
+    "psi5-hdDEB": dict(d=5, state=psi5, noise=0.2, rounds=24_000, seed=2015, mode=HDDEB_MODE),
+    "ghz9-NDEB": dict(
+        d=9, state=lambda: maximally_entangled(9), noise=0.3, rounds=5_000, seed=9,
+        mode=NDEB_MODE,
+    ),
+}
+
+GOLDEN_PLATFORM = "python 3.11; numpy 2.4.6; cpu e905ca5f201d"
+
+# name -> (transcript CSV sha256, summary JSON sha256, repr of estimate_violation)
+GOLDEN = {
+    "criterion-10": (
+        "0a8bac6271169bb99b4ff48a1cbd02e111d0379867c396d38be98cdb557080b2",
+        "acac567cbf7762fecf7db16a336289be2995eb2bc90a52deb7136f0f3dfade23",
+        "(0.7952891354893192, 0.00887802807654848)",
+    ),
+    "criterion-11": (
+        "208a14c127e46a2558235cb5b6a6eb840bc99955ff1c946acf1fc9b4961aad5e",
+        "0f08bb6b4aec10c61be8803cbea4b5532509c7c03ddbfe06e1f3768295ec295e",
+        "(0.8170714628081057, 0.03595519018541286)",
+    ),
+    "ghz9-NDEB": (
+        "93a6dd9ba3e0f1ccc72c2d1f6ac069222b461bfe67406f5ce567fe68531badbb",
+        "1e530bdf03f54226f70f382f58b5a03740b047d1c9422e3387d111fc50b56fa4",
+        None,
+    ),
+    "psi5-hdDEB": (
+        "da93dbbb7de4963fe42378cdc6c4d68c0e34b28ddcab7da8ca5e1606abf1b602",
+        "2ac21198e5408292059af427644204cf482786191a8946a9229c13c078c41f34",
+        "(0.906948531139341, 0.026043250056267418)",
+    ),
+}
+
+# CLI argv -> manifest checksum (sha256 of the canonical ``result`` JSON)
+CLI_GOLDEN = {
+    "simulate --d 5 --state psi5 --noise 0.2 --rounds 3000 --seed 7 --format json":
+        "8f1cbd13fe6336143fc6cb8252b963d8895fefdb4f95db28b94a985a80c86c7a",
+    "simulate --d 9 --mode NDEB --noise 0.3 --rounds 2000 --seed 3 --format json":
+        "2ea426832e0936017d4703d4f6e2621cb41b9fd564b8d2b1a8493750871b10ed",
+    "simulate --d 3 --state psi3 --rounds 1000 --seed 1 --format json":
+        "2c307f8ffc14105c440506fa86efb46c8e3523dc656a98841d480f6102beb8e2",
+}
+
+
+def platform_fingerprint() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    features = ",".join(sorted(k for k, v in __cpu_features__.items() if v))
+    cpu = hashlib.sha256(features.encode()).hexdigest()[:12]
+    py = ".".join(platform.python_version_tuple()[:2])
+    return f"python {py}; numpy {np.__version__}; cpu {cpu}"
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_of(case: dict) -> ProtocolConfig:
+    return ProtocolConfig(
+        d=case["d"], state=case["state"](), noise=case["noise"], rounds=case["rounds"],
+        rng_seed=case["seed"], mode=case["mode"],
+    )
+
+
+def fingerprint(case: dict) -> tuple[str, str, str | None]:
+    transcript, summary = run_protocol(config_of(case))
+    estimate = None
+    if case["mode"] == HDDEB_MODE:
+        estimate = repr(estimate_violation(transcript, builtin_operator(case["d"])))
+    return sha(transcript_csv_string(transcript)), sha(summary.to_json()), estimate
+
+
+def cli_checksum(argv: list[str], capsys) -> str:
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["manifest"]["checksum"]
+
+
+on_golden_platform = pytest.mark.skipif(
+    platform_fingerprint() != GOLDEN_PLATFORM,
+    reason="goldens are recorded for " + GOLDEN_PLATFORM,
+)
+
+
+@on_golden_platform
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name):
+    assert fingerprint(CASES[name]) == GOLDEN[name]
+
+
+@on_golden_platform
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+def test_cli_golden_checksum(argv, capsys):
+    assert cli_checksum(argv.split(), capsys) == CLI_GOLDEN[argv]
+
+
+# --- per-round reference implementation (the pre-columnar code) -----------
+
+def oracle(records: list[RoundRecord], d: int, t=None):
+    key_a = [r.alice_detector for r in records if r.a == r.b]
+    key_b = [(d - r.bob_detector) % d for r in records if r.a == r.b]
+    agree = sum(x == y for x, y in zip(key_a, key_b)) / len(key_a) if key_a else float("nan")
+    by_pair: dict[tuple[int, int], list[complex]] = {}
+    sums: dict[tuple[int, int], complex] = {}
+    for r in records:
+        by_pair.setdefault((r.a, r.b), []).append(r.alice_outcome * r.bob_outcome)
+        sums[(r.a, r.b)] = sums.get((r.a, r.b), 0j) + by_pair[(r.a, r.b)][-1]
+    counts = {p: len(s) for p, s in by_pair.items()}
+    sums = {p: sums[p] / counts[p] for p in sums}
+    if t is None or any(p not in by_pair for p in default_basis_map(t).values()):
+        return key_a, key_b, agree, sums, counts, None
+    v_hat, var = 0.0, 0.0
+    for m, p in default_basis_map(t).items():
+        c = (rotation_phase(d) * m.coefficient * np.asarray(by_pair[p])).real / classical_norm(d)
+        v_hat += float(c.mean())
+        var += float(c.var(ddof=1)) / len(c) if len(c) > 1 else 0.0
+    return key_a, key_b, agree, sums, counts, (v_hat, float(np.sqrt(var)))
+
+
+def columnar(transcript: Transcript, t=None):
+    key_a, key_b, agree, _ = sift(transcript)
+    summary = summarize(transcript)
+    estimate = None
+    if t is not None:
+        try:
+            estimate = estimate_violation(transcript, t)
+        except InsufficientDataError:
+            pass
+    return (
+        list(key_a), list(key_b), agree, summary.pair_correlations, summary.pair_counts,
+        estimate,
+    )
+
+
+def same(x, y) -> bool:
+    """Equality that also holds for NaN in the same place."""
+    return repr(x) == repr(y)
+
+
+@pytest.mark.parametrize(
+    "d,mode,noise,rounds,seed",
+    [
+        (3, HDDEB_MODE, 0.2, 1, 0),
+        (3, HDDEB_MODE, 0.0, 2, 1),
+        (4, HDDEB_MODE, 0.1, 700, 5),
+        (5, HDDEB_MODE, 0.2, 3_000, 6),
+        (9, NDEB_MODE, 0.3, 500, 7),
+    ],
+)
+def test_columnar_matches_per_round_oracle(d, mode, noise, rounds, seed):
+    state = psi5() if d == 5 else maximally_entangled(d)
+    config = ProtocolConfig(d=d, state=state, noise=noise, rounds=rounds, rng_seed=seed, mode=mode)
+    transcript, summary = run_protocol(config)
+    t = builtin_operator(d) if mode == HDDEB_MODE else None
+    records = list(transcript)
+    assert len(records) == len(transcript) == rounds
+    assert same(columnar(transcript, t), oracle(records, d, t))
+    assert summary.to_json() == summarize(Transcript.from_records(records, d)).to_json()
+
+
+def test_no_round_sifted():
+    w = roots_of_unity(3).tolist()
+    conj_one = complex(1.0, -0.0)  # detector 0 under conjugate labels: (1-0j)(1-0j) = 1-0j
+    records = [
+        RoundRecord(0, 0, 1, 2, 1, w[2], w[1]),
+        RoundRecord(1, 2, 0, 0, 1, w[0], w[2]),
+        RoundRecord(2, 1, 2, 0, 0, conj_one, conj_one),
+    ]
+    transcript = Transcript.from_records(records, 3)
+    assert same(columnar(transcript), oracle(records, 3))
+    summary = summarize(transcript)
+    assert summary.sift_rate == 0.0 and not summary.agreement_defined
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_from_records_matches_generated_transcript(seed):
+    state = make_state(3, [1, 1j, -1])
+    transcript, _ = run_protocol(ProtocolConfig(d=3, state=state, rounds=400, rng_seed=seed))
+    rebuilt = Transcript.from_records(list(transcript), 3)
+    assert transcript_csv_string(rebuilt) == transcript_csv_string(transcript)
+    assert list(rebuilt) == list(transcript)
+
+
+def test_from_records_round_trips_hand_built_records():
+    w3 = roots_of_unity(3)
+    lists = [
+        [
+            RoundRecord(0, 1, 1, 2, 1, w3[2], w3[1]),
+            RoundRecord(1, 0, 2, 0, 0, w3[0], w3[0]),
+            RoundRecord(2, 2, 2, 1, 1, w3[1], w3[1]),
+        ],
+        [
+            RoundRecord(i, a, b, 0, 0, 1.0 + 0j, 1.0 + 0j)
+            for i, (a, b) in enumerate((a, b) for a in range(3) for b in range(3))
+        ],
+        [RoundRecord(0, 0, 0, 0, 0, 1.0 + 0j, 1.0 + 0j)],
+        [],
+    ]
+    for records in lists:
+        transcript = Transcript.from_records(records, 3)
+        assert len(transcript) == len(records)
+        assert list(transcript) == records
+
+
+def test_from_records_rejects_inconsistent_records():
+    with pytest.raises(ValueError, match="indices"):
+        Transcript.from_records([RoundRecord(5, 0, 0, 0, 0, 1 + 0j, 1 + 0j)], 3)
+    with pytest.raises(ValueError, match="label"):
+        Transcript.from_records(
+            [
+                RoundRecord(0, 0, 0, 0, 0, 1 + 0j, 1 + 0j),
+                RoundRecord(1, 0, 1, 0, 0, -1 + 0j, 1 + 0j),
+            ],
+            3,
+        )
+    with pytest.raises(ValueError, match="detector"):
+        Transcript.from_records([RoundRecord(0, 0, 0, 3, 0, 1 + 0j, 1 + 0j)], 3)
+
+
+def test_transcript_columns_and_dimension_checks():
+    transcript, _ = run_protocol(ProtocolConfig(d=5, state=psi5(), rounds=50, rng_seed=1))
+    for column in (transcript.a, transcript.b, transcript.k, transcript.kp):
+        assert column.dtype == np.uint8 and not column.flags.writeable
+    with pytest.raises(DimensionMismatchError):
+        sift(transcript, 4)
+    with pytest.raises(TypeError):
+        sift(list(transcript))
+    assert sift(list(transcript), 5) == sift(transcript)
+
+
+def test_transcript_rejects_bad_columns():
+    labels = np.ones((3, 3), dtype=complex)
+    one = np.zeros(1, dtype=int)
+    for a, k in [(np.zeros((1, 1), dtype=int), one), (np.zeros(2, dtype=int), one)]:
+        with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+            Transcript(3, a, one, k, one, labels, labels)
+    for a, k in [(np.array([-1]), one), (np.array([3]), one), (one, np.array([3]))]:
+        with pytest.raises(ValueError, match="out of range"):
+            Transcript(3, a, one, k, one, labels, labels)
