@@ -22,7 +22,6 @@ from .ditter import (
     DitterObservable,
     ExponentConstraintError,
     InvalidPhaseError,
-    JointDistribution,
     LabelConvention,
     PhaseVector,
     ditter_observable,
@@ -38,7 +37,6 @@ from .bell import (
     BellOperator,
     builtin_operator,
     canonical_basis,
-    correlation,
     exponent_basis,
     lhv_max,
     optimize_basis,

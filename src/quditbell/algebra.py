@@ -8,7 +8,7 @@ at flat index k*d + k'.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +118,8 @@ def make_state(d: int, deltas) -> EntangledState:
         raise DimensionMismatchError(
             f"expected {d} coefficients, got shape {deltas.shape}"
         )
+    if not np.isfinite(deltas).all():
+        raise ValueError("coefficients must be finite")
     norm = np.linalg.norm(deltas)
     if norm == 0.0:
         raise DegenerateStateError("all coefficients are zero")

@@ -20,7 +20,6 @@ assignments and the local bound is attained with equality.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -37,10 +36,8 @@ from .algebra import (
 )
 from .ditter import (
     DitterObservable,
-    JointDistribution,
     PhaseVector,
     geometric_phases,
-    outcome_distribution,
     power_observable,
     product_observable,
 )
@@ -61,10 +58,6 @@ def rotation_phase(d: int) -> complex:
 
 def classical_norm(d: int) -> float:
     return d * d * np.cos(np.pi / d)
-
-
-class UnnormalizedDistributionError(ValueError):
-    """Joint probabilities do not sum to 1."""
 
 
 @dataclass(frozen=True)
@@ -264,14 +257,6 @@ def monomial_observables(
         one_side(m.alice_exponents, basis.alice_generators),
         one_side(m.bob_exponents, basis.bob_generators),
     )
-
-
-def correlation(dist: JointDistribution) -> complex:
-    """Complex correlation E = sum_{k,k'} P(k,k') label_A(k) label_B(k')."""
-    total = dist.probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise UnnormalizedDistributionError(f"probabilities sum to {total}")
-    return complex(dist.alice_labels @ dist.probs @ dist.bob_labels)
 
 
 def _expectation(state, alice: DitterObservable, bob: DitterObservable) -> complex:

@@ -33,6 +33,10 @@ EXIT_INSUFFICIENT_DATA = 3
 
 SCHEMA_ID = "quditbell/output-v1"
 
+#: largest --d any subcommand accepts.  The costliest input at this bound,
+#: --state mixed:N, builds and checks a d^2 x d^2 density matrix in ~80 MB.
+MAX_DIMENSION = 32
+
 
 class ValidationError(ValueError):
     """Bad command-line input."""
@@ -43,6 +47,14 @@ def _version() -> str:
         return metadata.version("quditbell")
     except metadata.PackageNotFoundError:
         return "0.0.0+uninstalled"
+
+
+def _is_number_pair(entry) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+    )
 
 
 def parse_state(spec: str, d: int):
@@ -76,10 +88,16 @@ def parse_state(spec: str, d: int):
         raise ValidationError(f"unknown state spec {spec!r}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"state file {spec!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"state file {spec!r} must hold a JSON object")
     if payload.get("d") != d:
         raise ValidationError(f"state file dimension {payload.get('d')} != --d {d}")
-    deltas = [complex(re, im) for re, im in payload["deltas"]]
-    return algebra.make_state(d, deltas)
+    deltas = payload.get("deltas")
+    if not isinstance(deltas, list) or not all(_is_number_pair(x) for x in deltas):
+        raise ValidationError(
+            f"state file {spec!r} needs \"deltas\": a list of [re, im] number pairs"
+        )
+    return algebra.make_state(d, [complex(re, im) for re, im in deltas])
 
 
 def parse_theta(spec: str | None) -> complex | None:
@@ -244,14 +262,14 @@ def cmd_simulate(args) -> int:
 def cmd_security(args) -> int:
     ds = [int(x) for x in args.d_list.split(",")] if args.d_list else [3, 4, 5]
     table = security.criterion_table()
-    comparisons = [security.comparison_report(d).to_dict() for d in ds if d in (3, 4, 5)]
-    result = {"criterion_table": table, "comparisons": comparisons}
+    reports = [security.comparison_report(d) for d in ds if d in (3, 4, 5)]
+    result = {"criterion_table": table, "comparisons": [r.to_dict() for r in reports]}
 
     def render(r):
         parts = [security.criterion_table_text()]
-        if comparisons:
+        if reports:
             parts.append("")
-            parts.append(security.comparison_table_text([c["d"] for c in comparisons]))
+            parts.append(security.comparison_table_text(reports))
         return "\n".join(parts)
 
     _emit("security", _params(args, ["d_list"]), result, args, render)
@@ -355,6 +373,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "d") and not 2 <= args.d <= MAX_DIMENSION:  # all but security
+            raise ValidationError(f"--d must be in [2, {MAX_DIMENSION}], got {args.d}")
         return args.func(args)
     except protocol.InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

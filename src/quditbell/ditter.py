@@ -24,15 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    ATOL,
-    DensityState,
-    DimensionMismatchError,
-    EntangledState,
-    fourier_matrix,
-    roots_of_unity,
-    tensor,
-)
+from .algebra import DimensionMismatchError, EntangledState, fourier_matrix, roots_of_unity
 
 PHASE_TOL = 1e-9
 
@@ -175,38 +167,22 @@ def power_observable(phases: PhaseVector, exponent: int) -> DitterObservable:
     )
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint detector statistics for one Alice/Bob observable pair."""
-
-    probs: np.ndarray  # shape (d, d), indexed (k Alice, k' Bob)
-    alice_labels: np.ndarray
-    bob_labels: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.probs.shape[0]
-
-
 def outcome_distribution(
-    state: EntangledState | DensityState,
-    alice: DitterObservable,
-    bob: DitterObservable,
-) -> JointDistribution:
-    """P(k, k') for both parties' ditters acting on a shared state.
+    state: EntangledState, alice: DitterObservable, bob: DitterObservable
+) -> np.ndarray:
+    """Joint detector statistics P(k, k') of both parties' ditters acting on
+    the pure state sum_j delta_j |jj>, as a (d, d) array indexed (k Alice,
+    k' Bob).
 
-    P(k,k') = |<kk'| (U_A x U_B) |psi>|^2 for pure states, or the diagonal of
-    (U_A x U_B) rho (U_A x U_B)^dag for densities.
+    The amplitude of |kk'> is sum_j U_A[k, j] U_B[k', j] delta_j, so
+
+        P = |U_A diag(delta) U_B^T|^2   (elementwise)
+
+    with no d^2 x d^2 operator.  Isotropic noise N mixes it with the uniform
+    table: (1 - N) P + N / d^2.
     """
     d = alice.d
     if bob.d != d or state.d != d:
         raise DimensionMismatchError("state and observables must share one dimension")
-    u = tensor(alice.ditter_unitary, bob.ditter_unitary)
-    if isinstance(state, EntangledState):
-        amps = u @ state.vector
-        probs = np.abs(amps) ** 2
-    else:
-        probs = np.einsum("ij,jk,ik->i", u, state.matrix, u.conj()).real
-    return JointDistribution(
-        probs.reshape(d, d), alice.labels.copy(), bob.labels.copy()
-    )
+    amps = (alice.ditter_unitary * state.deltas) @ bob.ditter_unitary.T
+    return np.abs(amps) ** 2

@@ -42,7 +42,6 @@ from .bell import (
     rotation_phase,
 )
 from .ditter import DitterObservable, LabelConvention, geometric_phases, outcome_distribution
-from .security import apply_isotropic_noise
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
@@ -283,8 +282,9 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
 
     Basis indices are drawn uniformly and independently for both parties;
     detector outcomes are sampled from the exact joint distribution of the
-    (noisy) state under the chosen observable pair.  The transcript is a
-    deterministic function of the configuration.
+    noisy state N I/d^2 + (1 - N)|psi><psi| under the chosen observable pair,
+    which is (1 - N) |U_A diag(delta) U_B^T|^2 + N/d^2 for N = config.noise.
+    The transcript is a deterministic function of the configuration.
     """
     d = config.d
     if config.mode == HDDEB_MODE:
@@ -293,18 +293,13 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
         alice_obs, bob_obs = _ndeb_observables(config)
     n_bases = config.num_bases
 
-    state = (
-        apply_isotropic_noise(config.state, config.noise)
-        if config.noise > 0.0
-        else config.state
-    )
-
     # exact joint distribution and its flattened CDF for every basis pair
     cdfs = {}
     for a in range(n_bases):
         for b in range(n_bases):
-            dist = outcome_distribution(state, alice_obs[a], bob_obs[b])
-            cdfs[(a, b)] = np.cumsum(dist.probs.ravel())
+            pure = outcome_distribution(config.state, alice_obs[a], bob_obs[b])
+            probs = (1.0 - config.noise) * pure + config.noise / (d * d)
+            cdfs[(a, b)] = np.cumsum(probs.ravel())
 
     rng = np.random.default_rng(config.rng_seed)
     a_draws = rng.integers(0, n_bases, size=config.rounds)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Iterable
 
 import numpy as np
 
@@ -173,15 +174,17 @@ def criterion_table_text(ds=(3, 4, 5, 6, 7, 8, 9, math.inf)) -> str:
     return "\n".join(lines)
 
 
-def comparison_table_text(ds=(3, 4, 5)) -> str:
+def comparison_table_text(reports: Iterable[SecurityReport] | None = None) -> str:
     """Aligned-text comparison of reference and computed violations against
-    the security criterion (4 decimals)."""
+    the security criterion (4 decimals), one row per report; by default the
+    reports for d = 3, 4, 5."""
+    if reports is None:
+        reports = [comparison_report(d) for d in (3, 4, 5)]
     lines = [
         f"{'d':>3}  {'v_ndeb':>8}  {'v_hddeb':>8}  {'criterion':>9}  "
         f"{'N_ndeb':>7}  {'N_hddeb':>8}  {'secure':>6}"
     ]
-    for d in ds:
-        r = comparison_report(d)
+    for r in reports:
         lines.append(
             f"{r.d:>3}  {r.v_ndeb:>8.4f}  {r.v_hddeb:>8.4f}  {r.v_max_secure:>9.4f}  "
             f"{r.noise_threshold_ndeb:>7.4f}  {r.noise_threshold_hddeb:>8.4f}  "

@@ -75,6 +75,12 @@ def test_make_state_rejects_zero():
         make_state(3, [0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_make_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_state(3, [1, bad, 1])
+
+
 def test_entangled_state_requires_normalization():
     with pytest.raises(ValueError):
         EntangledState(3, np.array([1.0, 1.0, 1.0]))

@@ -16,11 +16,9 @@ from quditbell.bell import (
     BUILTIN_POLYS,
     BellMonomial,
     BellOperator,
-    UnnormalizedDistributionError,
     builtin_operator,
     canonical_basis,
     classical_norm,
-    correlation,
     exponent_basis,
     lhv_max,
     monomial_observables,
@@ -29,7 +27,7 @@ from quditbell.bell import (
     rotation_phase,
     violation,
 )
-from quditbell.ditter import JointDistribution, outcome_distribution
+from quditbell.ditter import outcome_distribution
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
 
@@ -126,22 +124,22 @@ def test_violation_density_path_matches_pure_path(d):
     assert abs(violation(state, t, basis) - violation(state.to_density(), t, basis)) < 1e-10
 
 
+def label_correlation(state, a_obs, b_obs) -> complex:
+    """E = sum_{k,k'} P(k,k') label_A(k) label_B(k'): the expectation read
+    off the detector statistics, as a protocol run estimates it."""
+    return complex(a_obs.labels @ outcome_distribution(state, a_obs, b_obs) @ b_obs.labels)
+
+
 def test_correlation_matches_operator_expectation():
     d = 4
     state = psi4()
     basis = canonical_basis(d)
     for m in builtin_operator(d).monomials:
         a_obs, b_obs = monomial_observables(m, basis)
-        e_stat = correlation(outcome_distribution(state, a_obs, b_obs))
+        e_stat = label_correlation(state, a_obs, b_obs)
         op = np.kron(a_obs.matrix, b_obs.matrix)
         e_op = state.vector.conj() @ op @ state.vector
         assert abs(e_stat - e_op) < 1e-12
-
-
-def test_correlation_rejects_unnormalized():
-    dist = JointDistribution(np.ones((3, 3)), roots_of_unity(3), roots_of_unity(3))
-    with pytest.raises(UnnormalizedDistributionError):
-        correlation(dist)
 
 
 def test_mixed_state_violation_is_zero():

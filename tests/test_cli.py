@@ -224,3 +224,92 @@ def test_simulate_csv_format_with_transcript_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == path.read_bytes().decode()
+
+
+@pytest.mark.parametrize("d", ["1", "33", "300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mode", "NDEB", "--rounds", "5"],
+        ["simulate", "--state", "mixed:0.1"],
+        ["spectrum", "--state", "mixed:0.1"],
+        ["violation", "--state", "mixed:0.1"],
+        ["lhv"],
+    ],
+)
+def test_dimension_out_of_range_exits_2(argv, d, capsys):
+    code, out, err = run_cli(capsys, *argv, "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --d must be in [2, {cli.MAX_DIMENSION}], got {d}\n"
+
+
+def test_simulate_at_max_dimension(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--d", str(cli.MAX_DIMENSION), "--rounds", "500",
+        "--noise", "0.5", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["result"]["d"] == cli.MAX_DIMENSION
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"d": 3}',
+        '{"d": 3, "deltas": 1.0}',
+        '[[1, 0], [1, 0], [1, 0]]',
+        '{"d": 3, "deltas": [[1, 0], [1], [1, 0]]}',
+        '{"d": 3, "deltas": [[1, 0], ["1", 0], [1, 0]]}',
+        '{"d": 3, "deltas": [[1, 0], [true, 0], [1, 0]]}',
+        '{"d": 3, "deltas": [1, 1, 1]}',
+        '{"d": 3, "deltas": [[NaN, 0], [1, 0], [1, 0]]}',
+        '{"d": 3, "deltas": [[1, Infinity], [1, 0], [1, 0]]}',
+    ],
+)
+def test_malformed_state_file_exits_2(payload, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, "spectrum", "--d", "3", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SECURITY_TEXT = """\
+   d       F_A   criterion
+   3    0.7753  v < 1.5084
+   4    0.7342  v < 1.5489
+   5    0.7080  v < 1.5748
+   6    0.6898  v < 1.5930
+   7    0.6762  v < 1.6071
+   8    0.6657  v < 1.6183
+   9    0.6573  v < 1.6274
+ inf    0.5000  v < 2.0000
+
+  d    v_ndeb   v_hddeb  criterion   N_ndeb   N_hddeb  secure
+  3    1.4360    1.5052     1.5084   0.3036    0.3356    both
+  4    1.4480    1.5457     1.5489   0.3094    0.3531    both
+  5    1.4550    1.5740     1.5748   0.3127    0.3647    both
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_security_optimizes_once_per_dimension(fmt, monkeypatch, capsys):
+    from quditbell import security
+
+    calls = []
+    original = security.optimize_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(security, "optimize_basis", counting)
+    code, out, _ = run_cli(capsys, "security", "--format", fmt)
+    assert code == 0
+    assert len(calls) == 3
+    if fmt == "text":
+        assert out == SECURITY_TEXT

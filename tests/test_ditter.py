@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditbell.algebra import fourier_matrix, maximally_entangled, roots_of_unity
+from quditbell.algebra import fourier_matrix, make_state, maximally_entangled, roots_of_unity
 from quditbell.ditter import (
     DitterObservable,
     ExponentConstraintError,
@@ -15,6 +15,7 @@ from quditbell.ditter import (
     product_observable,
     product_phases,
 )
+from quditbell.security import apply_isotropic_noise
 
 
 def random_phases(d, rng):
@@ -108,17 +109,28 @@ def test_geometric_phases():
     assert np.allclose(pv_conj.thetas, pv.thetas.conj())
 
 
+def dense_distribution(rho, a: DitterObservable, b: DitterObservable) -> np.ndarray:
+    """Oracle: the diagonal of (U_A x U_B) rho (U_A x U_B)^dag, built from the
+    d^2 x d^2 Kronecker product."""
+    u = np.kron(a.ditter_unitary, b.ditter_unitary)
+    d = a.d
+    return np.einsum("ij,jk,ik->i", u, rho.matrix, u.conj()).real.reshape(d, d)
+
+
 def test_outcome_distribution_normalized_and_matches_density_path():
-    d = 3
+    """Isotropic noise as a mixing weight on the pure-state table equals the
+    statistics of the d^2 x d^2 noisy density matrix."""
     rng = np.random.default_rng(5)
-    state = maximally_entangled(d)
-    a = ditter_observable(random_phases(d, rng))
-    b = ditter_observable(random_phases(d, rng))
-    dist = outcome_distribution(state, a, b)
-    assert dist.probs.shape == (d, d)
-    assert abs(dist.probs.sum() - 1.0) < 1e-12
-    dist_rho = outcome_distribution(state.to_density(), a, b)
-    assert np.abs(dist.probs - dist_rho.probs).max() < 1e-12
+    for d in range(2, 10):
+        for noise in (0.0, 0.3, 1.0):
+            state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
+            a = ditter_observable(random_phases(d, rng))
+            b = ditter_observable(random_phases(d, rng))
+            probs = (1 - noise) * outcome_distribution(state, a, b) + noise / d**2
+            assert probs.shape == (d, d)
+            assert abs(probs.sum() - 1.0) < 1e-12
+            oracle = dense_distribution(apply_isotropic_noise(state, noise), a, b)
+            assert np.abs(probs - oracle).max() < 1e-12
 
 
 def test_matched_conjugate_bases_anticorrelate_detectors():
@@ -130,4 +142,4 @@ def test_matched_conjugate_bases_anticorrelate_detectors():
     for k in range(d):
         for kp in range(d):
             expected = 1.0 / d if (k + kp) % d == 0 else 0.0
-            assert abs(dist.probs[k, kp] - expected) < 1e-12
+            assert abs(dist[k, kp] - expected) < 1e-12
