@@ -47,7 +47,6 @@ from .bell import (
 from .protocol import (
     InsufficientDataError,
     ProtocolConfig,
-    RoundRecord,
     Transcript,
     TranscriptSummary,
     correlation_spectrum,

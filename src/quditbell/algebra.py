@@ -68,7 +68,7 @@ class EntangledState:
                 f"expected {self.d} coefficients, got shape {deltas.shape}"
             )
         norm = np.linalg.norm(deltas)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # NaN fails too
             raise ValueError(f"coefficients not normalized (norm {norm})")
         object.__setattr__(self, "deltas", deltas)
 
@@ -100,6 +100,8 @@ class DensityState:
         n = self.d * self.d
         if m.shape != (n, n):
             raise DimensionMismatchError(f"expected {n}x{n} matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > ATOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > ATOL:

@@ -262,7 +262,7 @@ def cmd_simulate(args) -> int:
 def cmd_security(args) -> int:
     ds = [int(x) for x in args.d_list.split(",")] if args.d_list else [3, 4, 5]
     table = security.criterion_table()
-    reports = [security.comparison_report(d) for d in ds if d in (3, 4, 5)]
+    reports = [security.comparison_report(d) for d in ds]
     result = {"criterion_table": table, "comparisons": [r.to_dict() for r in reports]}
 
     def render(r):
@@ -298,7 +298,7 @@ def cmd_spectrum(args) -> int:
     state = parse_state(args.state, d)
     if not isinstance(state, algebra.EntangledState):
         raise ValidationError("spectrum requires a pure state spec")
-    spectrum = protocol.correlation_spectrum(state, parse_theta(args.theta))
+    spectrum = protocol.correlation_spectrum(state)
     result = {
         "d": d,
         "state": args.state,
@@ -313,7 +313,7 @@ def cmd_spectrum(args) -> int:
             lines.append("warning: P(0) < 1 — matched bases are not perfectly correlated")
         return "\n".join(lines)
 
-    _emit("spectrum", _params(args, ["d", "state", "theta"]), result, args, render)
+    _emit("spectrum", _params(args, ["d", "state"]), result, args, render)
     return EXIT_OK
 
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lhv)
 
     p = sub.add_parser("spectrum", help="matched-basis correlation spectrum")
-    common(p)
+    common(p, theta=False)
     p.set_defaults(func=cmd_spectrum)
 
     return parser

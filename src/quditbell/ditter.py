@@ -50,7 +50,7 @@ class PhaseVector:
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {thetas.shape}"
             )
-        if np.abs(np.abs(thetas) - 1.0).max() > PHASE_TOL:
+        if not np.all(np.abs(np.abs(thetas) - 1.0) <= PHASE_TOL):  # NaN fails too
             raise InvalidPhaseError("phase entries must have unit modulus")
         object.__setattr__(self, "thetas", thetas)
 
@@ -120,7 +120,7 @@ def ditter_observable(phases: PhaseVector) -> DitterObservable:
 def geometric_phases(d: int, base: complex, a: int, sign: int = 1) -> PhaseVector:
     """Phase vector (1, theta^a, theta^{2a}, ..) with theta = base, or its
     conjugate family for sign = -1."""
-    if abs(abs(base) - 1.0) > PHASE_TOL:
+    if not abs(abs(base) - 1.0) <= PHASE_TOL:  # NaN fails too
         raise InvalidPhaseError(f"base phase must be unit modulus, got |{base}|")
     return PhaseVector(d, np.asarray(base, dtype=complex) ** (sign * a * np.arange(d)))
 

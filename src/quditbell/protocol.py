@@ -6,13 +6,11 @@ detector fired.  Rounds with matching basis choices are sifted into key dits;
 all other rounds feed the Bell-violation estimate used to detect
 eavesdropping.
 
-A run's rounds are kept as a columnar :class:`Transcript`: integer columns
+A run's rounds are kept as one columnar :class:`Transcript`: integer columns
 for Alice's basis a, Bob's basis b and the detectors k, k' that fired, plus
 each party's (bases x d) table of complex outcome labels.  Sifting, the
-per-basis-pair summary, the violation estimate and the CSV export each work
-on whole columns; iterating a transcript yields one :class:`RoundRecord` per
-round for callers that want row objects, and ``Transcript.from_records``
-turns such rows back into columns.
+per-basis-pair summary, the violation estimate and the CSV export each take
+a transcript and work on whole columns.
 
 Two modes are supported:
 
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .bell import (
     classical_norm,
     monomial_observables,
     protocol_basis,
+    reference_theta,
     rotation_phase,
 )
 from .ditter import DitterObservable, LabelConvention, geometric_phases, outcome_distribution
@@ -86,24 +85,6 @@ class ProtocolConfig:
         return self.d if self.mode == HDDEB_MODE else 4
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round: basis choices and which detectors fired."""
-
-    index: int
-    a: int
-    b: int
-    alice_detector: int
-    bob_detector: int
-    alice_outcome: complex
-    bob_outcome: complex
-
-
-def _require_range(column: np.ndarray, bound: int, what: str) -> None:
-    if len(column) and (column.min() < 0 or column.max() >= bound):
-        raise ValueError(f"{what} out of range [0, {bound})")
-
-
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """The rounds of one run as columns; row i is round i.
@@ -133,59 +114,14 @@ class Transcript:
             column = np.asarray(getattr(self, name))
             if len(shape) != 1 or column.shape != shape:
                 raise ValueError("transcript columns must be one-dimensional and of equal length")
-            _require_range(column, bound, f"column {name}")
+            if len(column) and (column.min() < 0 or column.max() >= bound):
+                raise ValueError(f"column {name} out of range [0, {bound})")
             column = column.astype(dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_records(cls, records: Iterable[RoundRecord], d: int) -> "Transcript":
-        """Columns of per-round rows.  Row i must have index i, and rows
-        measured in one basis must agree on each detector's label."""
-        rows = list(records)
-        if any(r.index != i for i, r in enumerate(rows)):
-            raise ValueError("record indices must run 0, 1, 2, ... in order")
-        a, b, k, kp = np.array(
-            [(r.a, r.b, r.alice_detector, r.bob_detector) for r in rows], dtype=np.int64
-        ).reshape(-1, 4).T
-        tables = []
-        for basis, detector, outcomes in (
-            (a, k, [r.alice_outcome for r in rows]),
-            (b, kp, [r.bob_outcome for r in rows]),
-        ):
-            _require_range(detector, d, "detector index")
-            outcomes = np.array(outcomes, dtype=complex)
-            table = np.full((basis.max() + 1 if len(rows) else 0, d), complex(np.nan, np.nan))
-            table[basis, detector] = outcomes
-            if not np.array_equal(table[basis, detector], outcomes):
-                raise ValueError("records disagree on a detector's label within one basis")
-            tables.append(table)
-        return cls(d, a, b, k, kp, *tables)
-
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        columns = (
-            self.a.tolist(),
-            self.b.tolist(),
-            self.k.tolist(),
-            self.kp.tolist(),
-            self.alice_labels[self.a, self.k].tolist(),
-            self.bob_labels[self.b, self.kp].tolist(),
-        )
-        for i, row in enumerate(zip(*columns)):
-            yield RoundRecord(i, *row)
-
-
-def _as_transcript(rounds: Transcript | Iterable[RoundRecord], d: int | None) -> Transcript:
-    if isinstance(rounds, Transcript):
-        if d is not None and d != rounds.d:
-            raise DimensionMismatchError(f"transcript dimension {rounds.d} != {d}")
-        return rounds
-    if d is None:
-        raise TypeError("the dimension d is needed to read RoundRecord rows")
-    return Transcript.from_records(rounds, d)
 
 
 def _pair_samples(transcript: Transcript) -> dict[tuple[int, int], np.ndarray]:
@@ -262,8 +198,6 @@ def _hddeb_observables(config: ProtocolConfig) -> tuple[list, list]:
 def _ndeb_observables(config: ProtocolConfig) -> tuple[list, list]:
     """Four geometric single-ditter bases per party; Bob uses the conjugate
     phase family so matched bases correlate detectors as k + k' = 0 mod d."""
-    from .bell import reference_theta
-
     d = config.d
     theta = config.theta if config.theta is not None else reference_theta(d)
     alice = [
@@ -322,18 +256,14 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
     return transcript, summarize(transcript)
 
 
-def sift(
-    transcript: Transcript | Iterable[RoundRecord], d: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...], float, bool]:
-    """Extract the key from matched-basis rounds.
+def sift(transcript: Transcript) -> tuple[tuple[int, ...], tuple[int, ...], float, bool]:
+    """Extract the key from the transcript's matched-basis rounds (a == b).
 
     Alice's dit is her detector index k; Bob's is (d - k') mod d, so the
     perfect-correlation support k + k' = 0 mod d turns into equal dits.
     Returns (key_alice, key_bob, agreement_rate, agreement_defined); the rate
-    is flagged undefined when no round survives sifting.  ``d`` is needed
-    only for RoundRecord rows.
+    is flagged undefined when no round survives sifting.
     """
-    transcript = _as_transcript(transcript, d)
     d = transcript.d
     matched = transcript.a == transcript.b
     key_a = transcript.k[matched].astype(np.intp)
@@ -344,11 +274,9 @@ def sift(
     return tuple(key_a.tolist()), tuple(key_b.tolist()), agree, True
 
 
-def summarize(
-    transcript: Transcript | Iterable[RoundRecord], d: int | None = None
-) -> TranscriptSummary:
-    """Sift the transcript and tabulate per-basis-pair correlations."""
-    transcript = _as_transcript(transcript, d)
+def summarize(transcript: Transcript) -> TranscriptSummary:
+    """Sift the transcript and tabulate, per basis pair (a, b), the round
+    count and the mean outcome-label product alice * bob."""
     key_a, key_b, agreement, defined = sift(transcript)
     correlations: dict[tuple[int, int], complex] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -376,7 +304,7 @@ def default_basis_map(t: BellOperator) -> dict[BellMonomial, tuple[int, int]]:
 
 
 def estimate_violation(
-    transcript: Transcript | Iterable[RoundRecord],
+    transcript: Transcript,
     t: BellOperator,
     basis_map: Mapping[BellMonomial, tuple[int, int]] | None = None,
 ) -> tuple[float, float]:
@@ -390,7 +318,9 @@ def estimate_violation(
     if basis_map is None:
         basis_map = default_basis_map(t)
     d = t.d
-    by_pair = _pair_samples(_as_transcript(transcript, d))
+    if transcript.d != d:
+        raise DimensionMismatchError(f"transcript dimension {transcript.d} != operator's {d}")
+    by_pair = _pair_samples(transcript)
 
     starved = [basis_map[m] for m in t.monomials if basis_map[m] not in by_pair]
     if starved:
@@ -410,25 +340,18 @@ def estimate_violation(
     return v_hat, float(np.sqrt(variance))
 
 
-def correlation_spectrum(
-    state: EntangledState, theta: complex | None = None, a: int = 0
-) -> np.ndarray:
+def correlation_spectrum(state: EntangledState) -> np.ndarray:
     """Distribution of k + k' mod d under matched geometric bases.
 
-    P(m) = |c_m|^2 / d with c_m = sum_j delta_j omega^{jm}.  The result does
-    not depend on the base phase theta or the basis index a: for matched
+    P(m) = |c_m|^2 / d with c_m = sum_j delta_j omega^{jm}.  It does not
+    depend on the base phase theta or the basis index: for matched
     conjugate-paired geometric bases those phase factors cancel between the
-    parties.  Both arguments are accepted (and validated) for interface
-    symmetry with the simulator.
+    parties.
 
     P(0) < 1 means matched-basis outcomes are not perfectly correlated and
     the state leaks key errors even on a noiseless channel.
     """
     d = state.d
-    if theta is not None and abs(abs(theta) - 1.0) > 1e-9:
-        raise ValueError(f"theta must be unit modulus, got |{theta}|")
-    if not 0 <= a < d:
-        raise ValueError(f"basis index must be in [0, {d}), got {a}")
     w = roots_of_unity(d)
     m = np.arange(d)
     c = (state.deltas[np.newaxis, :] * w[np.newaxis, :] ** m[:, np.newaxis]).sum(axis=1)

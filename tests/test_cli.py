@@ -154,6 +154,16 @@ def test_security_json_validates(capsys):
     assert abs(row5["v_max_secure"] - 1.575) < 1e-3
 
 
+def test_security_rejects_dimensions_outside_comparison(capsys):
+    code, out, err = run_cli(capsys, "security", "--d-list", "7,9", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: comparison defined for d in 3..5, got 7\n"
+    code, out, _ = run_cli(capsys, "security", "--d-list", "3,5", "--format", "json")
+    assert code == 0
+    assert [c["d"] for c in json.loads(out)["result"]["comparisons"]] == [3, 5]
+
+
 def test_lhv_pass(capsys):
     for d in ("3", "4"):
         code, out, _ = run_cli(capsys, "lhv", "--d", d)
@@ -190,6 +200,12 @@ def test_output_file(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "violation", "spectrum"])
 def test_non_finite_theta_exits_2(command, theta, capsys):
     argv = [command, "--d", "3", f"--theta={theta}"]
+    if command == "spectrum":  # its result does not depend on theta: no --theta option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --theta" in capsys.readouterr().err
+        return
     if command == "simulate":
         argv += ["--rounds", "2000"]
     code, out, err = run_cli(capsys, *argv)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from quditbell.algebra import fourier_matrix, make_state, maximally_entangled, roots_of_unity
+from quditbell.algebra import (
+    DensityState,
+    EntangledState,
+    fourier_matrix,
+    make_state,
+    maximally_entangled,
+    roots_of_unity,
+)
 from quditbell.ditter import (
     DitterObservable,
     ExponentConstraintError,
@@ -54,6 +61,29 @@ def test_observable_is_unitary_with_root_outcomes(d):
 def test_phase_vector_requires_unit_modulus():
     with pytest.raises(InvalidPhaseError):
         PhaseVector(3, np.array([1.0, 2.0, 1.0]))
+
+
+def nan_density(where) -> np.ndarray:
+    m = np.eye(4, dtype=complex) / 4
+    m[where] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: PhaseVector(3, [1, np.nan, 1]), InvalidPhaseError, "unit modulus"),
+        (lambda: geometric_phases(3, np.nan, 1), InvalidPhaseError, "unit modulus"),
+        (lambda: geometric_phases(3, np.nan, 0), InvalidPhaseError, "unit modulus"),
+        (lambda: EntangledState(3, [np.nan, 0, 0]), ValueError, "normalized"),
+        (lambda: DensityState(2, nan_density((0, 0))), ValueError, "finite"),
+        (lambda: DensityState(2, nan_density(...)), ValueError, "finite"),
+    ],
+    ids=["phase-vector", "geometric", "geometric-a0", "entangled", "density-entry", "density"],
+)
+def test_validators_reject_nan(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_conjugate_label_convention_is_adjoint():

@@ -8,7 +8,7 @@ from quditbell.protocol import (
     NDEB_MODE,
     InsufficientDataError,
     ProtocolConfig,
-    RoundRecord,
+    Transcript,
     correlation_spectrum,
     default_basis_map,
     estimate_violation,
@@ -62,21 +62,24 @@ def test_ndeb_mode_sift_rate_and_agreement():
     assert summary.agreement_rate == 1.0
 
 
+def standard_transcript(d, a, b, k, kp):
+    """Hand-made rounds with every basis reading detector k as omega^k."""
+    labels = np.tile(roots_of_unity(d), (d, 1))
+    return Transcript(d, *(np.array(c, dtype=int) for c in (a, b, k, kp)), labels, labels)
+
+
 def test_sift_dit_mapping():
-    w3 = roots_of_unity(3)
-    records = [
-        RoundRecord(0, 1, 1, 2, 1, w3[2], w3[1]),  # k + k' = 0 mod 3 -> agree
-        RoundRecord(1, 0, 2, 0, 0, w3[0], w3[0]),  # mismatched bases -> dropped
-        RoundRecord(2, 2, 2, 1, 1, w3[1], w3[1]),  # k + k' = 2 mod 3 -> disagree
-    ]
-    key_a, key_b, rate, defined = sift(records, 3)
+    # round 0: k + k' = 0 mod 3 -> agree; round 1: mismatched bases -> dropped;
+    # round 2: k + k' = 2 mod 3 -> disagree
+    transcript = standard_transcript(3, a=[1, 0, 2], b=[1, 2, 2], k=[2, 0, 1], kp=[1, 0, 1])
+    key_a, key_b, rate, defined = sift(transcript)
     assert key_a == (2, 1)
     assert key_b == (2, 2)
     assert defined and rate == 0.5
 
 
 def test_sift_empty_records():
-    key_a, key_b, rate, defined = sift([], 3)
+    key_a, key_b, rate, defined = sift(standard_transcript(3, [], [], [], []))
     assert key_a == () and key_b == ()
     assert not defined and np.isnan(rate)
 
@@ -98,10 +101,11 @@ def test_different_seeds_differ():
 
 def test_round_labels_are_roots_of_unity():
     config = ProtocolConfig(d=4, state=maximally_entangled(4), rounds=200, rng_seed=0)
-    records, _ = run_protocol(config)
-    for r in records:
-        assert abs(r.alice_outcome**4 - 1) < 1e-9
-        assert abs(r.bob_outcome**4 - 1) < 1e-9
+    transcript, _ = run_protocol(config)
+    alice = transcript.alice_labels[transcript.a, transcript.k]
+    bob = transcript.bob_labels[transcript.b, transcript.kp]
+    assert np.abs(alice**4 - 1).max() < 1e-9
+    assert np.abs(bob**4 - 1).max() < 1e-9
 
 
 def test_estimate_violation_matches_analytic():
@@ -128,15 +132,14 @@ def test_estimate_violation_under_noise():
 
 
 def test_estimate_violation_stub_records():
-    """Records engineered so every monomial's sample mean is exactly 1 give
-    the closed-form plug-in value Re(phase * sum c_m) / (d^2 cos(pi/d))."""
+    """Rounds engineered so every monomial's sample mean is exactly 1 (one
+    round per basis pair, both detectors 0, whose label is 1) give the
+    closed-form plug-in value Re(phase * sum c_m) / (d^2 cos(pi/d))."""
     d = 3
     t = builtin_operator(d)
-    records = [
-        RoundRecord(i, a, b, 0, 0, 1.0 + 0j, 1.0 + 0j)
-        for i, (a, b) in enumerate((a, b) for a in range(d) for b in range(d))
-    ]
-    v_hat, stderr = estimate_violation(records, t)
+    a, b = np.divmod(np.arange(d * d), d)
+    zeros = [0] * (d * d)
+    v_hat, stderr = estimate_violation(standard_transcript(d, a, b, zeros, zeros), t)
     total = sum(m.coefficient for m in t.monomials)
     expected = (rotation_phase(d) * total).real / classical_norm(d)
     assert abs(v_hat - expected) < 1e-12
@@ -146,9 +149,8 @@ def test_estimate_violation_stub_records():
 def test_estimate_violation_insufficient_data():
     d = 3
     t = builtin_operator(d)
-    records = [RoundRecord(0, 0, 0, 0, 0, 1.0 + 0j, 1.0 + 0j)]
     with pytest.raises(InsufficientDataError) as err:
-        estimate_violation(records, t)
+        estimate_violation(standard_transcript(d, [0], [0], [0], [0]), t)
     assert (0, 1) in err.value.pairs
     assert "a=0, b=1" in str(err.value)
 
@@ -180,13 +182,6 @@ def test_correlation_spectrum_random_state_sums_to_one():
     state = make_state(6, rng.normal(size=6) + 1j * rng.normal(size=6))
     spec = correlation_spectrum(state)
     assert abs(spec.sum() - 1.0) < 1e-12
-
-
-def test_correlation_spectrum_argument_validation():
-    with pytest.raises(ValueError):
-        correlation_spectrum(maximally_entangled(3), theta=2.0)
-    with pytest.raises(ValueError):
-        correlation_spectrum(maximally_entangled(3), a=5)
 
 
 def test_sifted_agreement_matches_spectrum_psi5():
