@@ -3,7 +3,6 @@ key-distribution simulation with multiport beam splitter measurements."""
 
 from .algebra import (
     DegenerateStateError,
-    DensityState,
     DimensionMismatchError,
     EntangledState,
     InvalidDimensionError,
@@ -60,7 +59,6 @@ from .security import (
     NDEB_VIOLATIONS,
     NoViolationError,
     SecurityReport,
-    apply_isotropic_noise,
     channel_fidelity,
     comparison_report,
     criterion_table,

@@ -80,36 +80,6 @@ class EntangledState:
         vec[idx * self.d + idx] = self.deltas
         return vec
 
-    def projector(self) -> np.ndarray:
-        v = self.vector
-        return np.outer(v, v.conj())
-
-    def to_density(self) -> "DensityState":
-        return DensityState(self.d, self.projector())
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """Mixed state of a qudit pair: d^2 x d^2 Hermitian PSD matrix, trace 1."""
-
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.d * self.d
-        if m.shape != (n, n):
-            raise DimensionMismatchError(f"expected {n}x{n} matrix, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL:
-            raise ValueError(f"trace is {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", m)
-
 
 def make_state(d: int, deltas) -> EntangledState:
     """Build an entangled state from (unnormalized) Schmidt coefficients."""

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DensityState,
     DimensionMismatchError,
     EntangledState,
     InvalidDimensionError,
@@ -260,19 +259,13 @@ def monomial_observables(
 
 
 def _expectation(state, alice: DitterObservable, bob: DitterObservable) -> complex:
-    op = tensor(alice.matrix, bob.matrix)
-    if isinstance(state, EntangledState):
-        v = state.vector
-        return complex(v.conj() @ op @ v)
-    return complex(np.trace(state.matrix @ op))
+    v = state.vector
+    return complex(v.conj() @ tensor(alice.matrix, bob.matrix) @ v)
 
 
-def violation(
-    state: EntangledState | DensityState,
-    t: BellOperator,
-    basis: BasisAssignment,
-) -> float:
-    """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))."""
+def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
+    """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))
+    of a pure state; isotropic noise N scales it by (1 - N)."""
     d = t.d
     if state.d != d or basis.d != d:
         raise DimensionMismatchError("state, operator, and basis dimensions differ")

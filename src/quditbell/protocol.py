@@ -40,7 +40,9 @@ from .bell import (
     reference_theta,
     rotation_phase,
 )
-from .ditter import DitterObservable, LabelConvention, geometric_phases, outcome_distribution
+from .ditter import (
+    PHASE_TOL, DitterObservable, LabelConvention, geometric_phases, outcome_distribution
+)
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
@@ -105,6 +107,12 @@ class Transcript:
     bob_labels: np.ndarray  # (Bob's bases, d)
 
     def __post_init__(self):
+        for name in ("alice_labels", "bob_labels"):
+            table = np.asarray(getattr(self, name))
+            if table.ndim != 2 or table.shape[1] != self.d:
+                raise ValueError(f"{name} must have shape (bases, {self.d}), not {table.shape}")
+            if not np.all(np.abs(np.abs(table) - 1.0) <= PHASE_TOL):  # NaN fails too
+                raise ValueError(f"{name} entries must be finite with unit modulus")
         bounds = {
             "a": len(self.alice_labels), "b": len(self.bob_labels), "k": self.d, "kp": self.d
         }

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Iterable
 
-import numpy as np
-
-from .algebra import DensityState, EntangledState, InvalidDimensionError
+from .algebra import REFERENCE_STATES, InvalidDimensionError
 from .bell import builtin_operator, optimize_basis
 
 #: phase-covariant cloner fidelity F_A per dimension.  The infinity key holds
@@ -41,20 +39,6 @@ class NoViolationError(ValueError):
 
 class CriterionUndefinedError(ValueError):
     """d * F_A <= 1, so the security criterion has no positive bound."""
-
-
-def apply_isotropic_noise(state: EntangledState, noise: float) -> DensityState:
-    """Mix the pure state with the maximally mixed bipartite state:
-
-        rho = N * I/d^2 + (1 - N) |psi><psi|
-
-    All correlations of traceless observables scale by exactly (1 - N).
-    """
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must be in [0, 1], got {noise}")
-    n = state.d * state.d
-    matrix = noise * np.eye(n) / n + (1.0 - noise) * state.projector()
-    return DensityState(state.d, matrix)
 
 
 def noise_threshold(v: float) -> float:
@@ -131,8 +115,6 @@ def comparison_report(d: int) -> SecurityReport:
     reference state), the security criterion, and both noise thresholds."""
     if d not in NDEB_VIOLATIONS:
         raise InvalidDimensionError(f"comparison defined for d in 3..5, got {d}")
-    from .algebra import REFERENCE_STATES
-
     state = REFERENCE_STATES[f"psi{d}"]()
     _, v_hddeb = optimize_basis(state, builtin_operator(d))
     v_ndeb = NDEB_VIOLATIONS[d]

@@ -22,10 +22,11 @@ from quditbell.protocol import (
 )
 from quditbell.security import (
     NDEB_VIOLATIONS,
-    apply_isotropic_noise,
     noise_threshold,
     security_criterion,
 )
+
+from dense_oracle import dense_violation, noisy_density
 
 STATES = {3: qb.psi3, 4: qb.psi4, 5: qb.psi5}
 
@@ -175,7 +176,7 @@ def test_criterion_10_noise_linearity():
     basis = canonical_basis(d)
     v0 = violation(state, t, basis)
     linear_ok = all(
-        abs(violation(apply_isotropic_noise(state, n), t, basis) - (1 - n) * v0) < 1e-9
+        abs(dense_violation(noisy_density(state, n), t, basis) - (1 - n) * v0) < 1e-9
         for n in np.arange(0.0, 0.91, 0.1)
     )
     records, _ = run_protocol(

@@ -3,13 +3,11 @@ import pytest
 
 from quditbell.algebra import (
     DegenerateStateError,
-    DensityState,
     DimensionMismatchError,
     EntangledState,
     InvalidDimensionError,
     fourier_matrix,
     make_state,
-    maximally_entangled,
     omega,
     psi3,
     psi4,
@@ -89,25 +87,6 @@ def test_entangled_state_requires_normalization():
 def test_entangled_state_shape_check():
     with pytest.raises(DimensionMismatchError):
         EntangledState(3, np.array([1.0, 0.0]))
-
-
-def test_projector_is_rank_one_density():
-    state = maximally_entangled(3)
-    rho = state.to_density()
-    eigs = np.linalg.eigvalsh(rho.matrix)
-    assert abs(eigs[-1] - 1.0) < 1e-12
-    assert np.abs(eigs[:-1]).max() < 1e-12
-
-
-def test_density_state_validation():
-    with pytest.raises(ValueError):
-        DensityState(2, np.eye(4) * 0.5)  # trace 2
-    with pytest.raises(ValueError):
-        DensityState(2, np.diag([1.5, -0.5, 0, 0]).astype(complex))  # negative eig
-    m = np.eye(4, dtype=complex) / 4
-    m[0, 1] = 0.1  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityState(2, m)
 
 
 def test_reference_states():

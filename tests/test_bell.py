@@ -16,6 +16,7 @@ from quditbell.bell import (
     BUILTIN_POLYS,
     BellMonomial,
     BellOperator,
+    assignment_candidates,
     builtin_operator,
     canonical_basis,
     classical_norm,
@@ -28,6 +29,8 @@ from quditbell.bell import (
     violation,
 )
 from quditbell.ditter import outcome_distribution
+
+from dense_oracle import bell_matrix, dense_violation, noisy_density
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
 
@@ -121,7 +124,24 @@ def test_violation_density_path_matches_pure_path(d):
     state = STATES[d]()
     t = builtin_operator(d)
     basis = canonical_basis(d)
-    assert abs(violation(state, t, basis) - violation(state.to_density(), t, basis)) < 1e-10
+    dense = dense_violation(noisy_density(state, 0.0), t, basis)
+    assert abs(violation(state, t, basis) - dense) < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_violation_below_hermitian_part_eigenvalue_bound(d):
+    """For a fixed basis, no state can exceed the largest eigenvalue of the
+    Hermitian part of e^{i pi/d} T / (d^2 cos(pi/d)), with T built densely."""
+    state = STATES[d]()
+    t = builtin_operator(d)
+    bounds = []
+    for basis in assignment_candidates(d):
+        rotated = np.exp(1j * np.pi / d) * bell_matrix(t, basis)
+        bound = np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)[-1]
+        bound /= d * d * np.cos(np.pi / d)
+        assert violation(state, t, basis) <= bound + 1e-12
+        bounds.append(bound)
+    assert optimize_basis(state, t)[1] <= max(bounds) + 1e-12
 
 
 def label_correlation(state, a_obs, b_obs) -> complex:
@@ -143,10 +163,8 @@ def test_correlation_matches_operator_expectation():
 
 
 def test_mixed_state_violation_is_zero():
-    from quditbell.security import apply_isotropic_noise
-
-    rho = apply_isotropic_noise(psi3(), 1.0)
-    assert abs(violation(rho, builtin_operator(3), canonical_basis(3))) < 1e-12
+    rho = noisy_density(psi3(), 1.0)
+    assert abs(dense_violation(rho, builtin_operator(3), canonical_basis(3))) < 1e-12
 
 
 @pytest.mark.parametrize("d,expected", [(3, 1.0), (4, 0.9095961), (5, 1.122544)])

@@ -6,6 +6,11 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from quditbell import cli
+from quditbell.algebra import maximally_entangled
+from quditbell.bell import BasisAssignment, builtin_operator
+from quditbell.ditter import PhaseVector
+
+from dense_oracle import dense_violation, noisy_density
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +50,33 @@ def test_violation_fully_mixed_state(capsys):
     code, out, _ = run_cli(capsys, "violation", "--d", "3", "--state", "mixed:1.0")
     assert code == 0
     assert "v = 0.0000" in out
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("noise", ["0", "0.3", "1"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_violation_mixed_state_matches_dense_route(d, noise, optimize, capsys):
+    """mixed:N reports (1 - N) v_pure; the dense noisy density matrix,
+    evaluated in the reported basis, must give the same value."""
+    argv = ["violation", "--d", str(d), "--state", f"mixed:{noise}", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--optimize"] if optimize else []))
+    assert code == 0
+    r = json.loads(out)["result"]
+
+    def generators(phases):
+        return tuple(PhaseVector(d, [complex(re, im) for re, im in g]) for g in phases)
+
+    basis = BasisAssignment(1, generators(r["alice_phases"]), generators(r["bob_phases"]))
+    rho = noisy_density(maximally_entangled(d), float(noise))
+    assert abs(r["violation"] - dense_violation(rho, builtin_operator(d), basis)) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_mixed_state_outside_violation_exits_2(command, capsys):
+    code, out, err = run_cli(capsys, command, "--d", "32", "--state", "mixed:0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unsupported_dimension_exits_2(capsys):
@@ -162,6 +194,19 @@ def test_security_rejects_dimensions_outside_comparison(capsys):
     code, out, _ = run_cli(capsys, "security", "--d-list", "3,5", "--format", "json")
     assert code == 0
     assert [c["d"] for c in json.loads(out)["result"]["comparisons"]] == [3, 5]
+
+
+def test_security_rejects_repeated_dimension(monkeypatch, capsys):
+    from quditbell import security
+
+    calls = []
+    original = security.comparison_report
+    monkeypatch.setattr(security, "comparison_report", lambda d: calls.append(d) or original(d))
+    code, out, err = run_cli(capsys, "security", "--d-list", "3,5,3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --d-list repeats d = 3\n"
+    assert calls == []
 
 
 def test_lhv_pass(capsys):

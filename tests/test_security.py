@@ -10,7 +10,6 @@ from quditbell.security import (
     NDEB_VIOLATIONS,
     CriterionUndefinedError,
     NoViolationError,
-    apply_isotropic_noise,
     channel_fidelity,
     comparison_report,
     comparison_table_text,
@@ -21,6 +20,8 @@ from quditbell.security import (
     security_criterion,
 )
 
+from dense_oracle import dense_violation, noisy_density
+
 
 def test_cloner_fidelities_strictly_decreasing():
     finite = [CLONER_FIDELITY[d] for d in range(3, 10)]
@@ -29,25 +30,13 @@ def test_cloner_fidelities_strictly_decreasing():
     assert CLONER_FIDELITY[math.inf] == 0.5
 
 
-def test_apply_isotropic_noise_limits():
-    state = psi3()
-    rho0 = apply_isotropic_noise(state, 0.0)
-    assert np.abs(rho0.matrix - state.projector()).max() < 1e-12
-    rho1 = apply_isotropic_noise(state, 1.0)
-    assert np.abs(rho1.matrix - np.eye(9) / 9).max() < 1e-12
-    with pytest.raises(ValueError):
-        apply_isotropic_noise(state, -0.1)
-    with pytest.raises(ValueError):
-        apply_isotropic_noise(state, 1.1)
-
-
 def test_noise_scales_violation_linearly():
     state = psi3()
     t = builtin_operator(3)
     basis = canonical_basis(3)
     v0 = violation(state, t, basis)
     for noise in np.arange(0.0, 1.01, 0.1):
-        v = violation(apply_isotropic_noise(state, noise), t, basis)
+        v = dense_violation(noisy_density(state, noise), t, basis)
         assert abs(v - (1 - noise) * v0) < 1e-9
 
 

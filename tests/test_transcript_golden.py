@@ -271,6 +271,19 @@ def test_transcript_columns_and_dimension_checks():
         estimate_violation(transcript, builtin_operator(3))
 
 
+@pytest.mark.parametrize(
+    "table",
+    [np.ones((3, 2), dtype=complex), np.full((3, 3), np.nan + 0j), np.full((3, 3), 2 + 0j)],
+    ids=["wrong-width", "nan", "modulus-2"],
+)
+def test_transcript_rejects_bad_label_tables(table):
+    good = np.ones((3, 3), dtype=complex)
+    one = np.zeros(1, dtype=int)
+    for alice, bob in [(table, good), (good, table)]:
+        with pytest.raises(ValueError, match="labels"):
+            Transcript(3, one, one, one, one, alice, bob)
+
+
 def test_transcript_rejects_bad_columns():
     labels = np.ones((3, 3), dtype=complex)
     one = np.zeros(1, dtype=int)
