@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class BellMonomial:
     alice_exponents: tuple[int, int]
     bob_exponents: tuple[int, int]
     coefficient: complex
+
+    @property
+    def basis_pair(self) -> tuple[int, int]:
+        """(a, b) = (A2 power, B2 power): the monomial is read on Alice's a-th
+        and Bob's b-th observable of a basis assignment, the same basis pair
+        the protocol rounds record."""
+        return self.alice_exponents[1], self.bob_exponents[1]
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,28 @@ class BasisAssignment:
     def d(self) -> int:
         return self.alice_generators[0].d
 
+    @cached_property
+    def alice_observables(self) -> tuple[DitterObservable, ...]:
+        """Entry a is A1^{d-1-a} A2^a."""
+        return _observable_table(*self.alice_generators)
+
+    @cached_property
+    def bob_observables(self) -> tuple[DitterObservable, ...]:
+        """Entry b is B1^{d-1-b} B2^b."""
+        return _observable_table(*self.bob_generators)
+
+
+def _observable_table(x: PhaseVector, y: PhaseVector) -> tuple[DitterObservable, ...]:
+    """The d single-ditter observables X^{d-1-a} Y^a, a = 0..d-1.
+
+    The pure powers X^{d-1} and Y^{d-1} are the generator's adjoint (same
+    ditter, conjugate labels); mixed powers go through the product-ditter
+    composition.
+    """
+    d = x.d
+    mixed = (product_observable(x, y, d - 1 - a, a) for a in range(1, d - 1))
+    return (power_observable(x, d - 1), *mixed, power_observable(y, d - 1))
+
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
 #: assignment, in units of the base phase; Bob exponents are in the conjugate
@@ -235,27 +265,14 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
 def monomial_observables(
     m: BellMonomial, basis: BasisAssignment
 ) -> tuple[DitterObservable, DitterObservable]:
-    """Realize one monomial's Alice and Bob factors as ditter observables.
-
-    Pure powers X^{d-1} become the generator's adjoint (same ditter, conjugate
-    labels); mixed powers go through the product-ditter composition.
-    """
+    """One monomial's Alice and Bob factors, looked up in the basis
+    assignment's observable tables at ``m.basis_pair``."""
     d = basis.d
-
-    def one_side(exponents, generators):
-        i1, i2 = exponents
-        if i1 + i2 != d - 1:
-            raise ValueError(f"exponents {exponents} do not sum to {d - 1}")
-        if i2 == 0:
-            return power_observable(generators[0], d - 1)
-        if i1 == 0:
-            return power_observable(generators[1], d - 1)
-        return product_observable(generators[0], generators[1], i1, i2)
-
-    return (
-        one_side(m.alice_exponents, basis.alice_generators),
-        one_side(m.bob_exponents, basis.bob_generators),
-    )
+    for exponents in (m.alice_exponents, m.bob_exponents):
+        if min(exponents) < 0 or sum(exponents) != d - 1:
+            raise ValueError(f"exponents {exponents} must be non-negative and sum to {d - 1}")
+    a, b = m.basis_pair
+    return basis.alice_observables[a], basis.bob_observables[b]
 
 
 def _expectation(state, alice: DitterObservable, bob: DitterObservable) -> complex:

@@ -150,8 +150,11 @@ def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> 
 
 def _write(output: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(output)
 
@@ -232,7 +235,12 @@ def cmd_simulate(args) -> int:
         result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
 
     if args.transcript:
-        protocol.write_transcript_csv(transcript, args.transcript)
+        try:
+            protocol.write_transcript_csv(transcript, args.transcript)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write --transcript {args.transcript!r}: {exc.strerror or exc}"
+            ) from None
         result["transcript_file"] = args.transcript
     if args.format == "csv":
         # csv output means the transcript itself

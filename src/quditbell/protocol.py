@@ -26,23 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import DimensionMismatchError, EntangledState, roots_of_unity
-from .bell import (
-    BellMonomial,
-    BellOperator,
-    classical_norm,
-    monomial_observables,
-    protocol_basis,
-    reference_theta,
-    rotation_phase,
-)
-from .ditter import (
-    PHASE_TOL, DitterObservable, LabelConvention, geometric_phases, outcome_distribution
-)
+from .bell import BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
+from .ditter import PHASE_TOL, ditter_observable, geometric_phases, outcome_distribution
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
@@ -189,33 +179,13 @@ class TranscriptSummary:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _hddeb_observables(config: ProtocolConfig) -> tuple[list, list]:
-    """The d per-party observables A1^{d-1-a} A2^a and B1^{d-1-b} B2^b from
-    the conjugate-paired protocol generators."""
-    d = config.d
-    basis = protocol_basis(d, config.theta)
-    alice, bob = [], []
-    for a in range(d):
-        m = BellMonomial((d - 1 - a, a), (d - 1 - a, a), 1.0)
-        a_obs, b_obs = monomial_observables(m, basis)
-        alice.append(a_obs)
-        bob.append(b_obs)
-    return alice, bob
-
-
 def _ndeb_observables(config: ProtocolConfig) -> tuple[list, list]:
     """Four geometric single-ditter bases per party; Bob uses the conjugate
     phase family so matched bases correlate detectors as k + k' = 0 mod d."""
     d = config.d
     theta = config.theta if config.theta is not None else reference_theta(d)
-    alice = [
-        DitterObservable(geometric_phases(d, theta, a, +1), LabelConvention.STANDARD)
-        for a in range(4)
-    ]
-    bob = [
-        DitterObservable(geometric_phases(d, theta, b, -1), LabelConvention.STANDARD)
-        for b in range(4)
-    ]
+    alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
+    bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
     return alice, bob
 
 
@@ -230,7 +200,8 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
     """
     d = config.d
     if config.mode == HDDEB_MODE:
-        alice_obs, bob_obs = _hddeb_observables(config)
+        basis = protocol_basis(d, config.theta)
+        alice_obs, bob_obs = basis.alice_observables, basis.bob_observables
     else:
         alice_obs, bob_obs = _ndeb_observables(config)
     n_bases = config.num_bases
@@ -305,32 +276,21 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
     )
 
 
-def default_basis_map(t: BellOperator) -> dict[BellMonomial, tuple[int, int]]:
-    """The canonical bijection monomial -> basis pair: A1^{d-1-a} A2^a is
-    Alice's a-th protocol observable, so (a, b) = (A2 power, B2 power)."""
-    return {m: (m.alice_exponents[1], m.bob_exponents[1]) for m in t.monomials}
-
-
-def estimate_violation(
-    transcript: Transcript,
-    t: BellOperator,
-    basis_map: Mapping[BellMonomial, tuple[int, int]] | None = None,
-) -> tuple[float, float]:
+def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, float]:
     """Empirical violation factor from transcript correlations.
 
     Each monomial's expectation is estimated by the sample mean of the complex
-    outcome-label products over the rounds measured in its basis pair; the
-    standard error combines the per-pair sample variances of the (real)
-    per-round contributions, treating pairs as independent samples.
+    outcome-label products over the rounds measured in its basis pair
+    ``m.basis_pair``; the standard error combines the per-pair sample
+    variances of the (real) per-round contributions, treating pairs as
+    independent samples.
     """
-    if basis_map is None:
-        basis_map = default_basis_map(t)
     d = t.d
     if transcript.d != d:
         raise DimensionMismatchError(f"transcript dimension {transcript.d} != operator's {d}")
     by_pair = _pair_samples(transcript)
 
-    starved = [basis_map[m] for m in t.monomials if basis_map[m] not in by_pair]
+    starved = [m.basis_pair for m in t.monomials if m.basis_pair not in by_pair]
     if starved:
         raise InsufficientDataError(sorted(set(starved)))
 
@@ -339,7 +299,7 @@ def estimate_violation(
     v_hat = 0.0
     variance = 0.0
     for m in t.monomials:
-        samples = by_pair[basis_map[m]]
+        samples = by_pair[m.basis_pair]
         contrib = (phase * m.coefficient * samples).real / norm
         n = len(contrib)
         v_hat += float(contrib.mean())

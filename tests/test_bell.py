@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from quditbell import ditter
 from quditbell.algebra import (
     InvalidDimensionError,
     maximally_entangled,
@@ -69,6 +70,30 @@ def test_builtin_operator_rejects_other_dimensions():
 def test_operator_homogeneity_enforced():
     with pytest.raises(ValueError):
         BellOperator(3, (BellMonomial((1, 0), (2, 0), 1.0),))
+
+
+@pytest.mark.parametrize(
+    "alice,bob",
+    [((1, 0), (2, 0)), ((2, 0), (1, 2)), ((3, -1), (2, 0)), ((2, 0), (-1, 3))],
+)
+def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
+    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
+        monomial_observables(BellMonomial(alice, bob, 1.0), canonical_basis(3))
+
+
+def test_violation_builds_each_observable_table_once(monkeypatch):
+    calls = []
+    original = ditter.product_phases
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ditter, "product_phases", counting)
+    d = 5
+    violation(psi5(), builtin_operator(d), canonical_basis(d))
+    # d - 2 product-ditter entries per party, each built once for all d^2 monomials
+    assert len(calls) == 2 * (d - 2)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

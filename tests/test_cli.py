@@ -241,6 +241,27 @@ def test_output_file(tmp_path, capsys):
     validate(json.loads(path.read_text()))
 
 
+@pytest.mark.parametrize(
+    "argv,path,message",
+    [
+        (["violation", "--d", "3", "--out"], "missing/x.json", "No such file or directory"),
+        (
+            ["simulate", "--d", "3", "--rounds", "2000", "--transcript"],
+            "missing/t.csv",
+            "No such file or directory",
+        ),
+        (["security", "--format", "json", "--out"], ".", "Is a directory"),
+    ],
+    ids=["violation-out", "simulate-transcript", "security-out-directory"],
+)
+def test_unwritable_output_path_exits_2(argv, path, message, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["simulate", "violation", "spectrum"])
 def test_non_finite_theta_exits_2(command, theta, capsys):

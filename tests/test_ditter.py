@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditbell.algebra import (
     EntangledState,
@@ -8,6 +9,7 @@ from quditbell.algebra import (
     maximally_entangled,
     roots_of_unity,
 )
+from quditbell.bell import exponent_basis
 from quditbell.ditter import (
     DitterObservable,
     ExponentConstraintError,
@@ -97,19 +99,36 @@ def test_power_d_minus_1_is_adjoint(d):
         assert np.abs(zpow - power_observable(phases, d - 1).matrix).max() < 1e-12
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
-def test_product_identity_all_exponents(d):
-    rng = np.random.default_rng(100 + d)
+def phase_vectors(d):
+    angles = st.lists(st.floats(0.0, 2 * np.pi), min_size=d, max_size=d)
+    return angles.map(lambda x: PhaseVector(d, np.exp(1j * np.array(x))))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_product_identity_all_exponents(d, data):
+    theta, lam = data.draw(phase_vectors(d)), data.draw(phase_vectors(d))
+    z_theta, z_lam = ditter_observable(theta).matrix, ditter_observable(lam).matrix
     for i in range(1, d - 1):
         j = d - 1 - i
-        for _ in range(10):
-            theta = random_phases(d, rng)
-            lam = random_phases(d, rng)
-            lhs = np.linalg.matrix_power(
-                ditter_observable(theta).matrix, i
-            ) @ np.linalg.matrix_power(ditter_observable(lam).matrix, j)
-            rhs = product_observable(theta, lam, i, j).matrix
-            assert np.abs(lhs - rhs).max() < 1e-12
+        lhs = np.linalg.matrix_power(z_theta, i) @ np.linalg.matrix_power(z_lam, j)
+        rhs = product_observable(theta, lam, i, j).matrix
+        assert np.abs(lhs - rhs).max() < 1e-12
+
+    # a basis assignment's tables hold X1^{d-1-a} X2^a for each party
+    base = np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
+    exponents = data.draw(st.tuples(*[st.integers(-d, d)] * 4))
+    basis = exponent_basis(d, exponents, base)
+    for generators, table in [
+        (basis.alice_generators, basis.alice_observables),
+        (basis.bob_generators, basis.bob_observables),
+    ]:
+        x1, x2 = (ditter_observable(g).matrix for g in generators)
+        assert len(table) == d
+        for a, obs in enumerate(table):
+            expected = np.linalg.matrix_power(x1, d - 1 - a) @ np.linalg.matrix_power(x2, a)
+            assert np.abs(obs.matrix - expected).max() < 1e-12
 
 
 def test_product_phases_rejects_bad_exponents():

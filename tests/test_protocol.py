@@ -10,7 +10,6 @@ from quditbell.protocol import (
     ProtocolConfig,
     Transcript,
     correlation_spectrum,
-    default_basis_map,
     estimate_violation,
     run_protocol,
     sift,
@@ -155,11 +154,11 @@ def test_estimate_violation_insufficient_data():
     assert "a=0, b=1" in str(err.value)
 
 
-def test_default_basis_map_is_bijection():
+def test_basis_pair_is_bijection():
     t = builtin_operator(4)
-    mapping = default_basis_map(t)
-    assert len(set(mapping.values())) == len(t.monomials)
-    for m, (a, b) in mapping.items():
+    pairs = [m.basis_pair for m in t.monomials]
+    assert len(set(pairs)) == len(t.monomials)
+    for m, (a, b) in zip(t.monomials, pairs):
         assert m.alice_exponents == (3 - a, a)
         assert m.bob_exponents == (3 - b, b)
 

@@ -1,10 +1,14 @@
-"""Byte-level goldens of the simulator output, and a per-round oracle.
+"""Byte-level goldens of the simulator and analytic output, and a per-round
+oracle.
 
 The goldens pin the sha256 of the transcript CSV, of
 ``TranscriptSummary.to_json()`` and of the CLI ``result`` payload, plus the
 exact ``repr`` of ``estimate_violation``, for four fixed configurations.
 They were captured from the per-round implementation that the columnar
 ``Transcript`` replaced, so they hold the columnar code to the old bytes.
+The analytic path (``violation``, ``security``, ``theta_scan``) is pinned the
+same way, with values captured before the observable tables were cached per
+basis assignment.
 Floating-point results depend on numpy and the CPU features it dispatches
 on, so the goldens are compared only on the platform that recorded them; the
 oracle tests below, the hand-made and the hypothesis-drawn, run everywhere.
@@ -25,14 +29,13 @@ from quditbell.algebra import (
     psi5,
     roots_of_unity,
 )
-from quditbell.bell import builtin_operator, classical_norm, rotation_phase
+from quditbell.bell import builtin_operator, classical_norm, rotation_phase, theta_scan
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
     InsufficientDataError,
     ProtocolConfig,
     Transcript,
-    default_basis_map,
     estimate_violation,
     run_protocol,
     sift,
@@ -87,7 +90,20 @@ CLI_GOLDEN = {
         "2ea426832e0936017d4703d4f6e2621cb41b9fd564b8d2b1a8493750871b10ed",
     "simulate --d 3 --state psi3 --rounds 1000 --seed 1 --format json":
         "2c307f8ffc14105c440506fa86efb46c8e3523dc656a98841d480f6102beb8e2",
+    "violation --d 3 --state psi3 --optimize --format json":
+        "ed051cade29bf6071d8a5bcf037c8ff4f2f364a17c2104463b74ffceab2de084",
+    "violation --d 4 --state psi4 --optimize --format json":
+        "5f7420ad19e80647691916a8e4ad34a9050d557ab013d98eccdb16b1551d4fbb",
+    "violation --d 5 --state psi5 --optimize --format json":
+        "cdf6d2c74745b064a87d51f86528801241b18803081ee72db1d463f49292a98f",
+    "violation --d 4 --theta 0.3 --format json":
+        "e691eccf024b884d6ee4d5b4837924638d17a14b14ace1c380ea2c277785125d",
+    "security --format json":
+        "7c13e39ee5aa50aa7f6b1f975b1a142ab31a02bd19262761a029fca5df95b407",
 }
+
+# repr of theta_scan(psi3(), builtin_operator(3), num_points=300)
+THETA_SCAN_GOLDEN = "((0.869149881167184+0.49454876813825954j), 1.505578603970351)"
 
 
 def platform_fingerprint() -> str:
@@ -144,6 +160,11 @@ def test_cli_golden_checksum(argv, capsys):
     assert cli_checksum(argv.split(), capsys) == CLI_GOLDEN[argv]
 
 
+@on_golden_platform
+def test_theta_scan_golden():
+    assert repr(theta_scan(psi3(), builtin_operator(3), num_points=300)) == THETA_SCAN_GOLDEN
+
+
 # --- per-round reference implementation (the pre-columnar code) -----------
 
 def rows(transcript: Transcript) -> list[tuple]:
@@ -165,11 +186,12 @@ def oracle(rounds: list[tuple], d: int, t=None):
         sums[(a, b)] = sums.get((a, b), 0j) + by_pair[(a, b)][-1]
     counts = {p: len(s) for p, s in by_pair.items()}
     sums = {p: sums[p] / counts[p] for p in sums}
-    if t is None or any(p not in by_pair for p in default_basis_map(t).values()):
+    if t is None or any(m.basis_pair not in by_pair for m in t.monomials):
         return key_a, key_b, agree, sums, counts, None
     v_hat, var = 0.0, 0.0
-    for m, p in default_basis_map(t).items():
-        c = (rotation_phase(d) * m.coefficient * np.asarray(by_pair[p])).real / classical_norm(d)
+    for m in t.monomials:
+        samples = np.asarray(by_pair[m.basis_pair])
+        c = (rotation_phase(d) * m.coefficient * samples).real / classical_norm(d)
         v_hat += float(c.mean())
         var += float(c.var(ddof=1)) / len(c) if len(c) > 1 else 0.0
     return key_a, key_b, agree, sums, counts, (v_hat, float(np.sqrt(var)))
