@@ -15,7 +15,6 @@ from .algebra import (
     psi4,
     psi5,
     roots_of_unity,
-    tensor,
 )
 from .ditter import (
     DitterObservable,

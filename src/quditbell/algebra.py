@@ -49,11 +49,6 @@ def fourier_matrix(d: int) -> np.ndarray:
     return omega(d) ** np.outer(k, k) / np.sqrt(d)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor's indices major."""
-    return np.kron(a, b)
-
-
 @dataclass(frozen=True)
 class EntangledState:
     """Bipartite qudit state sum_j delta_j |jj> with unit-norm coefficients."""

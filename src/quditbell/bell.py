@@ -32,7 +32,6 @@ from .algebra import (
     InvalidDimensionError,
     omega,
     roots_of_unity,
-    tensor,
 )
 from .ditter import (
     DitterObservable,
@@ -277,7 +276,7 @@ def monomial_observables(
 
 def _expectation(state, alice: DitterObservable, bob: DitterObservable) -> complex:
     v = state.vector
-    return complex(v.conj() @ tensor(alice.matrix, bob.matrix) @ v)
+    return complex(v.conj() @ np.kron(alice.matrix, bob.matrix) @ v)
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:

@@ -17,9 +17,11 @@ validation error, 3 insufficient data.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from importlib import metadata
 
@@ -37,6 +39,12 @@ SCHEMA_ID = "quditbell/output-v1"
 #: (d^2 basis-pair outcome tables): simulate --d 32 --noise 0.5 --rounds 500
 #: takes ~0.1 s and 48 MB peak RSS (2-core x86-64, Python 3.11, numpy 2.4).
 MAX_DIMENSION = 32
+
+#: largest simulate --rounds.  The CSV transcript costs the most memory:
+#: simulate --d 5 --rounds 5000000 --format csv peaks at 0.96 GB RSS, about
+#: 200 B per round (json output alone: 69 B per round), so a run at the cap
+#: stays near 2 GB (2-core x86-64, Python 3.11, numpy 2.4).
+MAX_ROUNDS = 10_000_000
 
 
 class ValidationError(ValueError):
@@ -148,6 +156,20 @@ def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> 
     _write(output, args.out)
 
 
+def _check_output_paths(args) -> None:
+    """Reject an --out or --transcript path that cannot be created as a file
+    before any work is done, so a bad path leaves no other output behind."""
+    for option in ("out", "transcript"):
+        path = getattr(args, option, None)
+        if path and os.path.isdir(path):
+            reason = errno.EISDIR
+        elif path and not os.path.isdir(os.path.dirname(path) or "."):
+            reason = errno.ENOENT
+        else:
+            continue
+        raise ValidationError(f"cannot write --{option} {path!r}: {os.strerror(reason)}")
+
+
 def _write(output: str, out: str | None) -> None:
     if out:
         try:
@@ -203,6 +225,8 @@ def _params(args, names) -> dict:
 
 def cmd_simulate(args) -> int:
     d = args.d
+    if not 1 <= args.rounds <= MAX_ROUNDS:
+        raise ValidationError(f"--rounds must be in [1, {MAX_ROUNDS}], got {args.rounds}")
     state = parse_state(args.state, d)
     config = protocol.ProtocolConfig(
         d=d,
@@ -225,11 +249,11 @@ def cmd_simulate(args) -> int:
         "agreement_defined": summary.agreement_defined,
         "key_length": len(summary.key_alice),
     }
-    if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
-        v_hat, stderr = protocol.estimate_violation(transcript, bell.builtin_operator(d))
-        analytic = bell.violation(
-            state, bell.builtin_operator(d), bell.protocol_basis(d, config.theta)
-        )
+    # csv output is the transcript alone, so it needs no estimate
+    if args.format != "csv" and config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
+        t = bell.builtin_operator(d)
+        v_hat, stderr = protocol.estimate_violation(transcript, t)
+        analytic = bell.violation(state, t, bell.protocol_basis(d, config.theta))
         result["violation_estimate"] = v_hat
         result["violation_stderr"] = stderr
         result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
@@ -243,7 +267,6 @@ def cmd_simulate(args) -> int:
             ) from None
         result["transcript_file"] = args.transcript
     if args.format == "csv":
-        # csv output means the transcript itself
         _write(protocol.transcript_csv_string(transcript), args.out)
         return EXIT_OK
 
@@ -390,6 +413,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "d") and not 2 <= args.d <= MAX_DIMENSION:  # all but security
             raise ValidationError(f"--d must be in [2, {MAX_DIMENSION}], got {args.d}")
+        _check_output_paths(args)
         return args.func(args)
     except protocol.InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

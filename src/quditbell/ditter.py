@@ -54,9 +54,6 @@ class PhaseVector:
             raise InvalidPhaseError("phase entries must have unit modulus")
         object.__setattr__(self, "thetas", thetas)
 
-    def conjugate(self) -> "PhaseVector":
-        return PhaseVector(self.d, self.thetas.conj())
-
 
 class LabelConvention(enum.Enum):
     """How detector index k maps to the complex outcome label.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,7 @@ class Transcript:
     that fired (``k'`` in the CSV).  ``alice_labels[a, k]`` and
     ``bob_labels[b, kp]`` are the complex outcome labels those detectors
     report.  The columns are stored read-only in the narrowest unsigned
-    dtype that holds them.
+    dtype that holds them, the label tables as read-only complex arrays.
     """
 
     d: int
@@ -98,11 +99,13 @@ class Transcript:
 
     def __post_init__(self):
         for name in ("alice_labels", "bob_labels"):
-            table = np.asarray(getattr(self, name))
+            table = np.array(getattr(self, name), dtype=complex)
             if table.ndim != 2 or table.shape[1] != self.d:
                 raise ValueError(f"{name} must have shape (bases, {self.d}), not {table.shape}")
             if not np.all(np.abs(np.abs(table) - 1.0) <= PHASE_TOL):  # NaN fails too
                 raise ValueError(f"{name} entries must be finite with unit modulus")
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         bounds = {
             "a": len(self.alice_labels), "b": len(self.bob_labels), "k": self.d, "kp": self.d
         }
@@ -121,29 +124,34 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def pair_samples(self) -> dict[tuple[int, int], np.ndarray]:
+        """Outcome-label products alice * bob grouped by basis pair (a, b),
+        in the order of ``_pair_rounds``, so sums and moments see the values
+        in the order a round-by-round pass would.  The product is formed from
+        real and imaginary parts exactly as Python multiplies two complex
+        numbers; numpy's complex multiply can differ from it in the last bit.
+        """
+        samples = {}
+        for (a, b), idx in _pair_rounds(self.a, self.b, len(self.bob_labels)).items():
+            x = self.alice_labels[a, self.k[idx]]
+            y = self.bob_labels[b, self.kp[idx]]
+            products = samples[(a, b)] = np.empty(len(idx), dtype=complex)
+            products.real = x.real * y.real - x.imag * y.imag
+            products.imag = x.real * y.imag + x.imag * y.real
+            products.flags.writeable = False
+        return samples
 
-def _pair_samples(transcript: Transcript) -> dict[tuple[int, int], np.ndarray]:
-    """Outcome-label products alice * bob grouped by basis pair (a, b).
 
-    Pairs come in order of first appearance and each pair's samples in round
-    order, so sums and moments see the values in the order a round-by-round
-    pass would.  The product is formed from real and imaginary parts exactly
-    as Python multiplies two complex numbers; numpy's complex multiply can
-    differ from it in the last bit.
-    """
-    x = transcript.alice_labels[transcript.a, transcript.k]
-    y = transcript.bob_labels[transcript.b, transcript.kp]
-    products = np.empty(len(transcript), dtype=complex)
-    products.real = x.real * y.real - x.imag * y.imag
-    products.imag = x.real * y.imag + x.imag * y.real
-
-    n_b = len(transcript.bob_labels)
-    code = transcript.a.astype(np.intp) * n_b + transcript.b
+def _pair_rounds(a: np.ndarray, b: np.ndarray, n_b: int) -> dict[tuple[int, int], np.ndarray]:
+    """Round indices grouped by basis pair (a, b): pairs in order of first
+    appearance, each pair's indices in round order."""
+    code = a.astype(np.intp) * n_b + b
     order = np.argsort(code, kind="stable")
     codes, first, counts = np.unique(code, return_index=True, return_counts=True)
     ends = np.cumsum(counts)
     return {
-        divmod(int(codes[i]), n_b): products[order[ends[i] - counts[i] : ends[i]]]
+        divmod(int(codes[i]), n_b): order[ends[i] - counts[i] : ends[i]]
         for i in np.argsort(first)
     }
 
@@ -206,32 +214,21 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
         alice_obs, bob_obs = _ndeb_observables(config)
     n_bases = config.num_bases
 
-    # exact joint distribution and its flattened CDF for every basis pair
-    cdfs = {}
-    for a in range(n_bases):
-        for b in range(n_bases):
-            pure = outcome_distribution(config.state, alice_obs[a], bob_obs[b])
-            probs = (1.0 - config.noise) * pure + config.noise / (d * d)
-            cdfs[(a, b)] = np.cumsum(probs.ravel())
-
     rng = np.random.default_rng(config.rng_seed)
     a_draws = rng.integers(0, n_bases, size=config.rounds)
     b_draws = rng.integers(0, n_bases, size=config.rounds)
     u_draws = rng.random(config.rounds)
 
-    k_out = np.empty(config.rounds, dtype=np.int64)
-    kp_out = np.empty(config.rounds, dtype=np.int64)
-    for (a, b), cdf in cdfs.items():
-        mask = (a_draws == a) & (b_draws == b)
-        if not mask.any():
-            continue
-        flat = np.searchsorted(cdf, u_draws[mask], side="right")
-        flat = np.minimum(flat, d * d - 1)
-        k_out[mask] = flat // d
-        kp_out[mask] = flat % d
+    # each drawn basis pair samples its rounds from its exact joint distribution
+    flat = np.empty(config.rounds, dtype=np.intp)  # detector pair k * d + k'
+    for (a, b), idx in _pair_rounds(a_draws, b_draws, n_bases).items():
+        pure = outcome_distribution(config.state, alice_obs[a], bob_obs[b])
+        cdf = np.cumsum(((1.0 - config.noise) * pure + config.noise / (d * d)).ravel())
+        flat[idx] = np.minimum(np.searchsorted(cdf, u_draws[idx], side="right"), d * d - 1)
 
     labels = [np.stack([o.labels for o in obs]) for obs in (alice_obs, bob_obs)]
-    transcript = Transcript(d, a_draws, b_draws, k_out, kp_out, *labels)
+    transcript = Transcript(d, a_draws, b_draws, flat // d, flat % d, *labels)
+    del a_draws, b_draws, u_draws, flat, idx  # free the draws before summarize
     return transcript, summarize(transcript)
 
 
@@ -259,7 +256,7 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
     key_a, key_b, agreement, defined = sift(transcript)
     correlations: dict[tuple[int, int], complex] = {}
     counts: dict[tuple[int, int], int] = {}
-    for pair, samples in _pair_samples(transcript).items():
+    for pair, samples in transcript.pair_samples.items():
         # a sequential sum from 0j: pairwise summation, or a start at the
         # first sample, would change the last bits or the sign of a zero
         total = np.cumsum(np.r_[0j, samples])[-1]
@@ -288,7 +285,7 @@ def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, 
     d = t.d
     if transcript.d != d:
         raise DimensionMismatchError(f"transcript dimension {transcript.d} != operator's {d}")
-    by_pair = _pair_samples(transcript)
+    by_pair = transcript.pair_samples
 
     starved = [m.basis_pair for m in t.monomials if m.basis_pair not in by_pair]
     if starved:

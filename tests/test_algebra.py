@@ -13,7 +13,6 @@ from quditbell.algebra import (
     psi4,
     psi5,
     roots_of_unity,
-    tensor,
 )
 
 
@@ -42,12 +41,6 @@ def test_roots_of_unity(d):
     assert np.allclose(w**d, 1.0, atol=1e-12)
     assert abs(w.sum()) < 1e-12
     assert abs(w[1] - omega(d)) < 1e-15
-
-
-def test_tensor_is_kron():
-    a = np.arange(4).reshape(2, 2)
-    b = np.eye(2)
-    assert np.array_equal(tensor(a, b), np.kron(a, b))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from quditbell import cli
+from quditbell import cli, protocol
 from quditbell.algebra import maximally_entangled
 from quditbell.bell import BasisAssignment, builtin_operator
 from quditbell.ditter import PhaseVector
@@ -296,6 +296,59 @@ def test_csv_format_outside_simulate_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'csv'" in captured.err
+
+
+def test_simulate_csv_format_needs_no_estimate(capsys):
+    """5 rounds cannot cover the 9 basis pairs of the d = 3 estimate, but the
+    csv output is the transcript alone."""
+    code, out, err = run_cli(capsys, "simulate", "--d", "3", "--rounds", "5", "--format", "csv")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "round,a,b,k,k'"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize(
+    "bad,good,message",
+    [
+        ("--out", "--transcript", "No such file or directory"),
+        ("--transcript", "--out", "No such file or directory"),
+        ("--out", "--transcript", "Is a directory"),
+    ],
+    ids=["missing-out", "missing-transcript", "out-is-directory"],
+)
+def test_simulate_bad_output_path_writes_nothing(bad, good, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(protocol, "run_protocol", pytest.fail)  # rejected before any work
+    bad_path = tmp_path if message == "Is a directory" else tmp_path / "missing" / "x"
+    good_path = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--d", "3", "--rounds", "2000", "--format", "json",
+        bad, str(bad_path), good, str(good_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {bad} ") and err.count("\n") == 1
+    assert message in err
+    assert not good_path.exists()
+
+
+def test_simulate_exit_3_writes_no_file(tmp_path, capsys):
+    out_path, transcript_path = tmp_path / "x.json", tmp_path / "t.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--d", "3", "--rounds", "5", "--format", "json",
+        "--out", str(out_path), "--transcript", str(transcript_path),
+    )
+    assert code == 3 and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rounds", [cli.MAX_ROUNDS + 1, 10**12, 0, -5])
+def test_simulate_rounds_out_of_range_exits_2(rounds, monkeypatch, capsys):
+    monkeypatch.setattr(protocol, "run_protocol", pytest.fail)  # must not allocate
+    code, out, err = run_cli(capsys, "simulate", "--d", "3", "--rounds", str(rounds))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --rounds must be in [1, {cli.MAX_ROUNDS}], got {rounds}\n"
 
 
 def test_simulate_csv_format_with_transcript_file(tmp_path, capsys):

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from quditbell import cli, protocol
 from quditbell.algebra import make_state, maximally_entangled, psi5, roots_of_unity
-from quditbell.bell import builtin_operator, classical_norm, protocol_basis, rotation_phase, violation
+from quditbell.bell import (
+    builtin_operator,
+    classical_norm,
+    protocol_basis,
+    reference_theta,
+    rotation_phase,
+    violation,
+)
+from quditbell.ditter import ditter_observable, geometric_phases, outcome_distribution
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
@@ -226,3 +235,88 @@ def test_summarize_counts():
     assert sum(summary.pair_counts.values()) == 900
     for e in summary.pair_correlations.values():
         assert abs(e) <= 1 + 1e-9
+
+
+def wilson_hilferty_quantile(dof: int, z: float) -> float:
+    """Upper chi-square quantile with dof degrees of freedom at normal score z."""
+    c = 2 / (9 * dof)
+    return dof * (1 - c + z * np.sqrt(c)) ** 3
+
+
+def chi_square(observed: np.ndarray, expected: np.ndarray, floor: float = 5.0):
+    """(statistic, dof) after pooling the cells expected below ``floor`` counts,
+    smallest first, into one bin of at least ``floor``."""
+    order = np.argsort(expected)
+    e, o = expected[order], observed[order]
+    small = int(np.count_nonzero(e < floor))
+    if small:
+        cut = max(small, int(np.searchsorted(np.cumsum(e), floor)) + 1)
+        e = np.r_[e[:cut].sum(), e[cut:]]
+        o = np.r_[o[:cut].sum(), o[cut:]]
+    return float(((o - e) ** 2 / e).sum()), len(e) - 1
+
+
+@pytest.mark.parametrize("state_kind", ["ghz", "random"])
+@pytest.mark.parametrize("mode", [HDDEB_MODE, NDEB_MODE])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("d", range(2, 10))
+def test_sampler_matches_outcome_distribution(d, noise, mode, state_kind):
+    """For every basis pair, the sampled (k, k') counts follow
+    (1 - N) outcome_distribution + N/d^2: cells of zero probability are never
+    hit, and a chi-square statistic stays below its 5-sigma quantile."""
+    rng = np.random.default_rng(d)
+    if state_kind == "ghz":
+        state = maximally_entangled(d)
+    else:
+        state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
+    if mode == HDDEB_MODE:
+        basis = protocol_basis(d)
+        alice, bob = basis.alice_observables, basis.bob_observables
+    else:
+        theta = reference_theta(d)
+        alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
+        bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
+    pairs = [(a, b) for a in range(len(alice)) for b in range(len(bob))]
+    config = ProtocolConfig(
+        d=d, state=state, noise=noise, rounds=1500 * len(pairs), rng_seed=5, mode=mode
+    )
+    transcript, summary = run_protocol(config)
+    assert sorted(summary.pair_counts) == pairs
+    for a, b in pairs:
+        rounds = (transcript.a == a) & (transcript.b == b)
+        cells = transcript.k[rounds].astype(int) * d + transcript.kp[rounds]
+        observed = np.bincount(cells, minlength=d * d)
+        probs = (1 - noise) * outcome_distribution(state, alice[a], bob[b]).ravel() + noise / d**2
+        zero = probs < 1e-12
+        assert not observed[zero].any(), (a, b)
+        stat, dof = chi_square(observed[~zero], probs[~zero] * observed.sum())
+        assert stat < wilson_hilferty_quantile(dof, 5.0), (a, b, stat, dof)
+
+
+def test_one_round_builds_one_outcome_table(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return outcome_distribution(*args)
+
+    monkeypatch.setattr(protocol, "outcome_distribution", counting)
+    run_protocol(ProtocolConfig(d=5, state=psi5(), rounds=1))
+    assert len(calls) == 1
+
+
+def test_simulate_groups_rounds_by_pair_twice(monkeypatch, capsys):
+    """Once for sampling, once for the label products that the summary and
+    the violation estimate share."""
+    calls = []
+    pair_rounds = protocol._pair_rounds
+
+    def counting(*args):
+        calls.append(args)
+        return pair_rounds(*args)
+
+    monkeypatch.setattr(protocol, "_pair_rounds", counting)
+    argv = ["simulate", "--d", "5", "--state", "psi5", "--rounds", "2000", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert "violation_estimate" in capsys.readouterr().out
+    assert len(calls) == 2
