@@ -37,6 +37,15 @@ def roots_of_unity(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 
+def complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x * y rounded as Python's complex multiply rounds it;
+    numpy's complex multiply can differ from it in the last bit."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def fourier_matrix(d: int) -> np.ndarray:
     """Unitary discrete Fourier matrix, entry (k,l) = omega^{kl} / sqrt(d).
 

@@ -24,7 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, EntangledState, fourier_matrix, roots_of_unity
+from .algebra import (
+    DimensionMismatchError, EntangledState, complex_product, fourier_matrix, roots_of_unity
+)
 
 PHASE_TOL = 1e-9
 
@@ -135,13 +137,10 @@ def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> Phas
         raise ExponentConstraintError(
             f"need 1 <= i <= {d - 2} and i + j = {d - 1}, got (i, j) = ({i}, {j})"
         )
-    idx = np.arange(d)
-    gammas = np.empty(d, dtype=complex)
-    for k in range(d):
-        th_part = theta.thetas[(k + idx[: d - i]) % d].prod()
-        la_part = lam.thetas[(k - i + idx[: i + 1]) % d].prod()
-        gammas[k] = th_part * la_part
-    return PhaseVector(d, gammas)
+    k = np.arange(d)[:, np.newaxis]
+    th_part = theta.thetas[(k + np.arange(d - i)) % d].prod(axis=1)
+    la_part = lam.thetas[(k - i + np.arange(i + 1)) % d].prod(axis=1)
+    return PhaseVector(d, complex_product(th_part, la_part))
 
 
 def product_observable(

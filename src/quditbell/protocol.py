@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, EntangledState, roots_of_unity
+from .algebra import DimensionMismatchError, EntangledState, complex_product, roots_of_unity
 from .bell import BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
 from .ditter import PHASE_TOL, ditter_observable, geometric_phases, outcome_distribution
 
@@ -128,17 +128,14 @@ class Transcript:
     def pair_samples(self) -> dict[tuple[int, int], np.ndarray]:
         """Outcome-label products alice * bob grouped by basis pair (a, b),
         in the order of ``_pair_rounds``, so sums and moments see the values
-        in the order a round-by-round pass would.  The product is formed from
-        real and imaginary parts exactly as Python multiplies two complex
-        numbers; numpy's complex multiply can differ from it in the last bit.
+        in the order a round-by-round pass would, and each product is the
+        one Python's complex multiply gives (``complex_product``).
         """
         samples = {}
         for (a, b), idx in _pair_rounds(self.a, self.b, len(self.bob_labels)).items():
             x = self.alice_labels[a, self.k[idx]]
             y = self.bob_labels[b, self.kp[idx]]
-            products = samples[(a, b)] = np.empty(len(idx), dtype=complex)
-            products.real = x.real * y.real - x.imag * y.imag
-            products.imag = x.real * y.imag + x.imag * y.real
+            products = samples[(a, b)] = complex_product(x, y)
             products.flags.writeable = False
         return samples
 
@@ -148,11 +145,13 @@ def _pair_rounds(a: np.ndarray, b: np.ndarray, n_b: int) -> dict[tuple[int, int]
     appearance, each pair's indices in round order."""
     code = a.astype(np.intp) * n_b + b
     order = np.argsort(code, kind="stable")
-    codes, first, counts = np.unique(code, return_index=True, return_counts=True)
-    ends = np.cumsum(counts)
+    sorted_code = code[order]  # stable: each group starts at its pair's first round
+    # a group starts where the sorted code changes; the slice keeps 0 rounds at 0 groups
+    starts = np.flatnonzero(np.r_[True, sorted_code[1:] != sorted_code[:-1]][: len(code)])
+    ends = np.append(starts[1:], len(code))
     return {
-        divmod(int(codes[i]), n_b): order[ends[i] - counts[i] : ends[i]]
-        for i in np.argsort(first)
+        divmod(int(sorted_code[starts[g]]), n_b): order[starts[g] : ends[g]]
+        for g in np.argsort(order[starts])
     }
 
 

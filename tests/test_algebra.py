@@ -6,6 +6,7 @@ from quditbell.algebra import (
     DimensionMismatchError,
     EntangledState,
     InvalidDimensionError,
+    complex_product,
     fourier_matrix,
     make_state,
     omega,
@@ -87,3 +88,10 @@ def test_reference_states():
     assert np.allclose(psi4().deltas, np.ones(4) / 2)
     expected = np.array([1, 1, 1, 1, -1j]) / np.sqrt(5)
     assert np.allclose(psi5().deltas, expected)
+
+
+def test_complex_product_is_python_complex_multiply():
+    rng = np.random.default_rng(3)
+    x, y = (rng.normal(size=(2, 500)) * 10.0 ** rng.integers(-3, 4, size=(2, 500))).view(complex)
+    expected = np.array([complex(p) * complex(q) for p, q in zip(x, y)])
+    assert complex_product(x, y).tobytes() == expected.tobytes()

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditbell import ditter
 from quditbell.algebra import (
     InvalidDimensionError,
+    make_state,
     maximally_entangled,
     omega,
     psi3,
@@ -31,7 +33,7 @@ from quditbell.bell import (
 )
 from quditbell.ditter import outcome_distribution
 
-from dense_oracle import bell_matrix, dense_violation, noisy_density
+from dense_oracle import bell_matrix, dense_violation, kron_violation, noisy_density
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
 
@@ -220,3 +222,26 @@ def test_exponent_basis_structure():
     assert np.allclose(basis.alice_generators[1].thetas, theta ** (2 * np.arange(3)))
     assert np.allclose(basis.bob_generators[0].thetas, theta ** (np.arange(3)))
     assert np.allclose(basis.bob_generators[1].thetas, theta ** (-np.arange(3)))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_violation_equals_kron_route_exactly(d, data):
+    """Not a tolerance: violation() must give the kron loop's float bits."""
+    moduli = data.draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=d, max_size=d))
+    moduli[0] = moduli[0] or 1.0
+    angles = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=d, max_size=d))
+    state = make_state(d, np.array(moduli) * np.exp(1j * np.array(angles)))
+    exponents = data.draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
+    basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
+    power = st.integers(0, d - 1)
+    monomials = data.draw(st.lists(st.builds(
+        lambda a, b, re, im: BellMonomial((d - 1 - a, a), (d - 1 - b, b), complex(re, im)),
+        power, power, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
+    ), min_size=1, max_size=2 * d))
+    t = BellOperator(d, tuple(monomials))
+    assert violation(state, t, basis) == kron_violation(state, t, basis)
+    for basis in assignment_candidates(d) if d in STATES else ():
+        t = builtin_operator(d)
+        assert violation(state, t, basis) == kron_violation(state, t, basis)

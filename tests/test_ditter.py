@@ -131,6 +131,28 @@ def test_product_identity_all_exponents(d, data):
             assert np.abs(obs.matrix - expected).max() < 1e-12
 
 
+def product_phases_loop(theta: PhaseVector, lam: PhaseVector, i: int) -> np.ndarray:
+    """Gamma one entry at a time, each a product of two numpy complex scalars."""
+    d = theta.d
+    idx = np.arange(d)
+    gammas = np.empty(d, dtype=complex)
+    for k in range(d):
+        th_part = theta.thetas[(k + idx[: d - i]) % d].prod()
+        la_part = lam.thetas[(k - i + idx[: i + 1]) % d].prod()
+        gammas[k] = th_part * la_part
+    return gammas
+
+
+@pytest.mark.parametrize("d", range(3, 33))
+def test_product_phases_equal_loop_bytes(d):
+    rng = np.random.default_rng(d)
+    for _ in range(8):
+        theta, lam = random_phases(d, rng), random_phases(d, rng)
+        for i in range(1, d - 1):
+            gammas = product_phases(theta, lam, i, d - 1 - i).thetas
+            assert gammas.tobytes() == product_phases_loop(theta, lam, i).tobytes()
+
+
 def test_product_phases_rejects_bad_exponents():
     rng = np.random.default_rng(1)
     theta, lam = random_phases(5, rng), random_phases(5, rng)

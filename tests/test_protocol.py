@@ -320,3 +320,29 @@ def test_simulate_groups_rounds_by_pair_twice(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert "violation_estimate" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def pair_rounds_unique(a, b, n_b):
+    """The np.unique form of the grouping: pairs in order of first appearance,
+    each pair's round indices in round order."""
+    code = a.astype(np.intp) * n_b + b
+    order = np.argsort(code, kind="stable")
+    codes, first, counts = np.unique(code, return_index=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return {
+        divmod(int(codes[i]), n_b): order[ends[i] - counts[i] : ends[i]]
+        for i in np.argsort(first)
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 500, 24000])
+@pytest.mark.parametrize("n_b", [2, 4, 5, 9, 32])
+def test_pair_rounds_matches_unique_grouping(n, n_b):
+    rng = np.random.default_rng(n * 100 + n_b)
+    a, b = rng.integers(0, n_b, size=(2, n))
+    got = protocol._pair_rounds(a, b, n_b)
+    expected = pair_rounds_unique(a, b, n_b)
+    assert list(got) == list(expected)
+    for pair, idx in expected.items():
+        assert got[pair].dtype == idx.dtype
+        assert np.array_equal(got[pair], idx)
