@@ -40,10 +40,10 @@ SCHEMA_ID = "quditbell/output-v1"
 #: takes ~0.1 s and 48 MB peak RSS (2-core x86-64, Python 3.11, numpy 2.4).
 MAX_DIMENSION = 32
 
-#: largest simulate --rounds.  The CSV transcript costs the most memory:
-#: simulate --d 5 --rounds 5000000 --format csv peaks at 0.96 GB RSS, about
-#: 200 B per round (json output alone: 69 B per round), so a run at the cap
-#: stays near 2 GB (2-core x86-64, Python 3.11, numpy 2.4).
+#: largest simulate --rounds.  The CSV transcript is streamed, so csv and json
+#: cost the same: simulate --d 5 --rounds 5000000 peaks at 325 MB RSS with
+#: --format csv and 324 MB with --format json, about 65 B per round, so a run
+#: at the cap stays near 650 MB (2-core x86-64, Python 3.11, numpy 2.4).
 MAX_ROUNDS = 10_000_000
 
 
@@ -153,7 +153,7 @@ def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> 
         output = json.dumps(doc, indent=2) + "\n"
     else:
         output = text_renderer(result) + "\n"
-    _write(output, args.out)
+    _write([output], args.out)
 
 
 def _check_output_paths(args) -> None:
@@ -170,15 +170,15 @@ def _check_output_paths(args) -> None:
         raise ValidationError(f"cannot write --{option} {path!r}: {os.strerror(reason)}")
 
 
-def _write(output: str, out: str | None) -> None:
+def _write(pieces, out: str | None) -> None:
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(output)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValidationError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(output)
+        sys.stdout.writelines(pieces)
 
 
 REFERENCE_VIOLATIONS = {3: 1.505, 4: 1.546, 5: 1.574}
@@ -253,7 +253,7 @@ def cmd_simulate(args) -> int:
     if args.format != "csv" and config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
         t = bell.builtin_operator(d)
         v_hat, stderr = protocol.estimate_violation(transcript, t)
-        analytic = bell.violation(state, t, bell.protocol_basis(d, config.theta))
+        analytic = bell.violation(state, t, config.basis)
         result["violation_estimate"] = v_hat
         result["violation_stderr"] = stderr
         result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
@@ -267,7 +267,7 @@ def cmd_simulate(args) -> int:
             ) from None
         result["transcript_file"] = args.transcript
     if args.format == "csv":
-        _write(protocol.transcript_csv_string(transcript), args.out)
+        _write(map(bytes.decode, protocol._csv_chunks(transcript)), args.out)
         return EXIT_OK
 
     def render(r):

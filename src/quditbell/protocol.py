@@ -37,6 +37,7 @@ from .ditter import PHASE_TOL, ditter_observable, geometric_phases, outcome_dist
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
+_CSV_CHUNK = 65_536  # transcript rounds rendered to CSV at a time
 
 
 class InsufficientDataError(RuntimeError):
@@ -76,6 +77,11 @@ class ProtocolConfig:
     def num_bases(self) -> int:
         """d bases per party in hdDEB mode, 4 in NDEB mode."""
         return self.d if self.mode == HDDEB_MODE else 4
+
+    @cached_property
+    def basis(self):
+        """hdDEB mode's ``protocol_basis(d, theta)``, built once per config."""
+        return protocol_basis(self.d, self.theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +213,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
     """
     d = config.d
     if config.mode == HDDEB_MODE:
-        basis = protocol_basis(d, config.theta)
-        alice_obs, bob_obs = basis.alice_observables, basis.bob_observables
+        alice_obs, bob_obs = config.basis.alice_observables, config.basis.bob_observables
     else:
         alice_obs, bob_obs = _ndeb_observables(config)
     n_bases = config.num_bases
@@ -322,17 +327,42 @@ def correlation_spectrum(state: EntangledState) -> np.ndarray:
     return np.abs(c) ** 2 / d
 
 
+def _csv_cells(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's right-aligned ASCII digits and ``end`` as a uint8 column, and a keep mask."""
+    width = len(str(int(values.max()))) if len(values) else 1
+    text = np.empty((width + len(end), len(values)), dtype=np.uint8)
+    text[width:] = np.frombuffer(end, dtype=np.uint8)[:, np.newaxis]
+    rest = values
+    for row in range(width - 1, -1, -1):
+        quotient = rest // 10
+        text[row], rest = rest - quotient * 10 + ord("0"), quotient
+    # keep a digit where the value reaches its place; place 0 keeps the units and end
+    places = np.r_[10 ** np.arange(width - 1, 0, -1), [0] * (1 + len(end))]
+    return text, values >= places.astype(values.dtype)[:, np.newaxis]
+
+
+def _csv_chunks(t: Transcript):
+    """The transcript CSV as bytes: the header, then one buffer per chunk of
+    rounds, its a, b, k, k' cells taken from tables over t's own bounds."""
+    yield b"round,a,b,k,k'\r\n"
+    bounds, ends = (len(t.alice_labels), len(t.bob_labels), t.d, t.d), (b",",) * 3 + (b"\r\n",)
+    tables = [_csv_cells(np.arange(n, dtype=t.a.dtype), end) for n, end in zip(bounds, ends)]
+    for start in range(0, len(t), _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, len(t))
+        cells = [_csv_cells(np.arange(start, stop, dtype=np.min_scalar_type(stop)), b",")]
+        for table, column in zip(tables, (t.a, t.b, t.k, t.kp)):
+            cells.append([np.take(part, column[start:stop], axis=1) for part in table])
+        text, keep = (np.vstack(parts).T.ravel() for parts in zip(*cells))
+        yield np.compress(keep, text).tobytes()
+
+
 def transcript_csv_string(transcript: Transcript) -> str:
     """Transcript export: header ``round,a,b,k,k'`` and one row per round,
     every line ended by ``\\r\\n`` as ``csv.writer`` ends them."""
-    n = len(transcript)
-    cells = np.column_stack(
-        (np.arange(n), transcript.a, transcript.b, transcript.k, transcript.kp)
-    )
-    return "round,a,b,k,k'\r\n" + ("%d,%d,%d,%d,%d\r\n" * n) % tuple(cells.ravel().tolist())
+    return b"".join(_csv_chunks(transcript)).decode("ascii")
 
 
 def write_transcript_csv(transcript: Transcript, path) -> None:
-    """Write ``transcript_csv_string(transcript)`` to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(transcript_csv_string(transcript))
+    """Write ``transcript_csv_string(transcript)`` to ``path``, chunk by chunk."""
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_chunks(transcript))

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from quditbell import cli, protocol
+from quditbell import cli, ditter, protocol
 from quditbell.algebra import maximally_entangled
 from quditbell.bell import BasisAssignment, builtin_operator
 from quditbell.ditter import PhaseVector
@@ -359,6 +359,37 @@ def test_simulate_csv_format_with_transcript_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == path.read_bytes().decode()
+
+
+def test_simulate_csv_format_streams_to_out_file(tmp_path, capsys):
+    """--format csv --out writes, chunk by chunk, the bytes of --transcript;
+    70 000 rounds cross one 65 536-round chunk boundary."""
+    out, transcript = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--d", "5", "--state", "psi5", "--rounds", "70000", "--seed", "3",
+        "--format", "csv", "--out", str(out), "--transcript", str(transcript),
+    )
+    assert code == 0 and stdout == ""
+    assert out.read_bytes() == transcript.read_bytes()
+    assert out.read_bytes().count(b"\r\n") == 70_001
+
+
+def test_simulate_builds_its_basis_once(monkeypatch, capsys):
+    """run_protocol and the analytic violation share the config's basis, so
+    each party's observable table is built once per run."""
+    calls = []
+    original = ditter.product_phases
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ditter, "product_phases", counting)
+    d = 5
+    code, _, _ = run_cli(capsys, "simulate", "--d", str(d), "--state", "psi5", "--rounds", "2000")
+    assert code == 0
+    # d - 2 product-ditter entries per party
+    assert len(calls) == 2 * (d - 2)
 
 
 @pytest.mark.parametrize("d", ["1", "33", "300"])
