@@ -89,13 +89,15 @@ def make_state(d: int, deltas) -> EntangledState:
     """Build an entangled state from (unnormalized) Schmidt coefficients."""
     if d < 2:
         raise InvalidDimensionError(f"need dimension >= 2, got {d}")
-    deltas = np.asarray(deltas, dtype=complex)
+    deltas = np.array(deltas, dtype=complex)
     if deltas.shape != (d,):
         raise DimensionMismatchError(
             f"expected {d} coefficients, got shape {deltas.shape}"
         )
     if not np.isfinite(deltas).all():
         raise ValueError("coefficients must be finite")
+    # an exact power-of-two scaling first, so the norm neither underflows nor overflows
+    deltas = np.ldexp(deltas.view(float), -np.frexp(np.abs(deltas).max())[1]).view(complex)
     norm = np.linalg.norm(deltas)
     if norm == 0.0:
         raise DegenerateStateError("all coefficients are zero")

@@ -10,13 +10,13 @@ where rotation_phase = e^{i pi/d}.  Quantum mechanically each monomial becomes
 a product ditter observable and the left-hand side can exceed 1; the value v
 is the violation factor.
 
-The built-in operators for d = 3, 4, 5 are stored as integer polynomials in
-omega = e^{2i pi/d}.  Each satisfies a sharpness property that pins the local
-bound exactly: for every deterministic assignment of roots of unity to the
-four variables, T evaluates to d^2 times a d-th root of unity.  Two printed
-coefficients in circulation fail that property and are corrected here (see the
-coefficient tables); with the corrections the property holds for all d^4
-assignments and the local bound is attained with equality.
+The built-in operators for d = 3, 4, 5 (hCHSH-d) are stored as phase tables
+g: Z_d^2 -> Z_d, and their integer polynomials in omega = e^{2i pi/d} are
+derived from the tables.  Sharpness, which pins the local bound exactly, holds
+by construction: every deterministic root-of-unity assignment evaluates T to
+d^2 times a d-th root of unity, so the local maximum is d^2 cos(pi/d) and the
+bound is attained with equality.  lhv_max re-checks it over all d^4
+assignments.
 """
 from __future__ import annotations
 
@@ -74,6 +74,12 @@ class BellMonomial:
         the protocol rounds record."""
         return self.alice_exponents[1], self.bob_exponents[1]
 
+    def check_degree(self, d: int) -> None:
+        """Each party's exponents must be non-negative and sum to d - 1."""
+        for exponents in (self.alice_exponents, self.bob_exponents):
+            if min(exponents) < 0 or sum(exponents) != d - 1:
+                raise ValueError(f"exponents {exponents} must be non-negative and sum to {d - 1}")
+
 
 @dataclass(frozen=True)
 class BellOperator:
@@ -82,11 +88,7 @@ class BellOperator:
 
     def __post_init__(self):
         for m in self.monomials:
-            if sum(m.alice_exponents) != self.d - 1 or sum(m.bob_exponents) != self.d - 1:
-                raise ValueError(
-                    f"monomial {m.alice_exponents}|{m.bob_exponents} is not "
-                    f"homogeneous of degree {self.d - 1} per party"
-                )
+            m.check_degree(self.d)
 
     def coefficient_table(self) -> dict:
         """JSON-friendly coefficient listing for audit."""
@@ -106,71 +108,40 @@ class BellOperator:
         return json.dumps(self.coefficient_table(), indent=indent)
 
 
-# Integer polynomial tables in omega: ((i1,i2),(j1,j2)) -> [p0, p1, ...] meaning
-# p0 + p1*omega + p2*omega^2 + ...  Exponent pairs are (A1 power, A2 power) and
-# (B1 power, B2 power).
-_T3_POLYS = {
-    ((2, 0), (2, 0)): [4, -1],
-    ((2, 0), (1, 1)): [-2, -1],
-    ((2, 0), (0, 2)): [1, -1],
-    ((1, 1), (2, 0)): [-5, -1],
-    ((1, 1), (1, 1)): [-2, -1],
-    # corrected: [-1, -1] in one printed version breaks the sharpness property
-    ((1, 1), (0, 2)): [1, -1],
-    ((0, 2), (2, 0)): [-5, -1],
-    ((0, 2), (1, 1)): [-2, -1],
-    ((0, 2), (0, 2)): [1, -1],
+#: hCHSH-d phase tables g[r][s] (Arnault 2012): at the deterministic assignment
+#: A1 = w^p, A2 = w^(p+r), B1 = w^q, B2 = w^(q+s) the operator is d^2 w^(g[r][s]-p-q).
+PHASE_TABLES = {
+    3: ((2, 2, 1), (0, 0, 0), (0, 0, 0)),
+    4: ((3, 2, 3, 1), (3, 2, 1, 2), (0, 1, 3, 1), (3, 3, 0, 3)),
+    5: ((4, 0, 0, 0, 1), (3, 0, 0, 2, 4), (2, 0, 0, 4, 0), (3, 0, 4, 2, 2), (3, 0, 2, 3, 2)),
 }
 
-_T4_POLYS = {
-    ((3, 0), (3, 0)): [-1, -3],
-    ((3, 0), (2, 1)): [-1, -1],
-    ((3, 0), (1, 2)): [5, -5],
-    ((3, 0), (0, 3)): [1, -3],
-    ((2, 1), (3, 0)): [1, 1],
-    ((2, 1), (2, 1)): [-3, -1],
-    ((2, 1), (1, 2)): [-1, -1],
-    ((2, 1), (0, 3)): [-1, -3],
-    ((1, 2), (3, 0)): [1, 3],
-    ((1, 2), (2, 1)): [1, 5],
-    ((1, 2), (1, 2)): [-1, -7],
-    ((1, 2), (0, 3)): [3, 3],
-    ((0, 3), (3, 0)): [-5, -5],
-    ((0, 3), (2, 1)): [-1, 1],
-    ((0, 3), (1, 2)): [1, 1],
-    ((0, 3), (0, 3)): [1, -1],
-}
 
-_T5_POLYS = {
-    # corrected: [6, -3, 0, 2] in one printed version breaks the sharpness property
-    ((4, 0), (4, 0)): [6, -3, 2, 0],
-    ((4, 0), (3, 1)): [-5, -6, -4, 0],
-    ((4, 0), (2, 2)): [-3, 2, -1, 7],
-    ((4, 0), (1, 3)): [-3, -4, 1, 1],
-    ((4, 0), (0, 4)): [0, 6, 2, 2],
-    ((3, 1), (4, 0)): [-2, -3, -4, -1],
-    ((3, 1), (3, 1)): [-4, -3, -3, -5],
-    ((3, 1), (2, 2)): [2, -2, -3, -2],
-    ((3, 1), (1, 3)): [1, 0, 1, -2],
-    ((3, 1), (0, 4)): [3, -2, 4, 0],
-    ((2, 2), (4, 0)): [3, 3, -1, 0],
-    ((2, 2), (3, 1)): [0, 1, 7, 2],
-    ((2, 2), (2, 2)): [-5, -5, -6, -4],
-    ((2, 2), (1, 3)): [-2, 0, 0, -3],
-    ((2, 2), (0, 4)): [4, 1, 0, 5],
-    ((1, 3), (4, 0)): [1, 0, -4, -2],
-    ((1, 3), (3, 1)): [2, 1, 1, 1],
-    ((1, 3), (2, 2)): [1, 3, 0, 1],
-    ((1, 3), (1, 3)): [-7, -4, -7, -7],
-    ((1, 3), (0, 4)): [-2, 0, 0, -3],
-    ((0, 4), (4, 0)): [2, 3, 2, -2],
-    ((0, 4), (3, 1)): [-3, -3, -1, -3],
-    ((0, 4), (2, 2)): [-5, -3, 0, -2],
-    ((0, 4), (1, 3)): [-4, -2, -5, -4],
-    ((0, 4), (0, 4)): [-5, -5, -6, -4],
-}
+def phase_table_polys(g) -> dict:
+    """The operator of a phase table g as integer polynomials in omega:
+    ((i1, i2), (j1, j2)) -> [p0, p1, ...] meaning p0 + p1*omega + ...
 
-BUILTIN_POLYS = {3: _T3_POLYS, 4: _T4_POLYS, 5: _T5_POLYS}
+    Inverting the d x d Fourier transform gives the coefficient of basis pair
+    (a, b) as sum_{r,s} omega^((g[r,s] - a r - b s) mod d): a count of each
+    exponent, long-divided by the monic Phi_d (roots: the primitive d-th roots
+    of unity) to phi(d) coefficients.
+    """
+    g = np.asarray(g)
+    d = len(g)
+    k = np.arange(d)
+    a, b, r, s = np.ix_(k, k, k, k)
+    counts = np.eye(d, dtype=int)[(g - a * r - b * s) % d].sum(axis=(2, 3))
+    cyclotomic = np.round(np.poly(roots_of_unity(d)[np.gcd(k, d) == 1]).real).astype(int)[::-1]
+    n = len(cyclotomic) - 1
+    for top in range(d - 1, n - 1, -1):
+        counts[..., top - n:top + 1] -= counts[..., top, None] * cyclotomic
+    return {
+        ((d - 1 - i, i), (d - 1 - j, j)): counts[i, j, :n].tolist()
+        for i in range(d) for j in range(d)
+    }
+
+
+BUILTIN_POLYS = {d: phase_table_polys(g) for d, g in PHASE_TABLES.items()}
 
 
 def builtin_operator(d: int) -> BellOperator:
@@ -266,10 +237,7 @@ def monomial_observables(
 ) -> tuple[DitterObservable, DitterObservable]:
     """One monomial's Alice and Bob factors, looked up in the basis
     assignment's observable tables at ``m.basis_pair``."""
-    d = basis.d
-    for exponents in (m.alice_exponents, m.bob_exponents):
-        if min(exponents) < 0 or sum(exponents) != d - 1:
-            raise ValueError(f"exponents {exponents} must be non-negative and sum to {d - 1}")
+    m.check_degree(basis.d)
     a, b = m.basis_pair
     return basis.alice_observables[a], basis.bob_observables[b]
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditbell.algebra import (
     DegenerateStateError,
@@ -65,6 +66,39 @@ def test_make_state_normalizes():
 def test_make_state_rejects_zero():
     with pytest.raises(DegenerateStateError):
         make_state(3, [0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "deltas,expected",
+    [
+        ([1e-200, 0, 0], [1, 0, 0]),
+        ([1e-160, 1e-160, 0], [2**-0.5, 2**-0.5, 0]),
+        ([1e300, -1e300j, 0], [2**-0.5, -1j * 2**-0.5, 0]),
+    ],
+)
+def test_make_state_normalizes_tiny_and_huge_coefficients(deltas, expected):
+    """The norm of the raw values underflows or overflows; make_state scales first."""
+    assert np.allclose(make_state(3, deltas).deltas, expected, rtol=0, atol=1e-15)
+
+
+# components with a normal square even after the power-of-two scaling
+PART = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(parts=st.lists(st.tuples(PART, PART), min_size=2, max_size=9))
+def test_make_state_scaling_keeps_the_bits_of_plain_normalization(parts):
+    deltas = np.array([complex(re, im) for re, im in parts])
+    if not deltas.any():
+        deltas[0] = 1.0
+    plain = deltas / np.linalg.norm(deltas)
+    assert make_state(len(deltas), deltas).deltas.tobytes() == plain.tobytes()
+
+
+def test_reference_states_keep_the_bits_of_plain_normalization():
+    for state, raw in ((psi3, [1, 1, 1]), (psi4, [1, 1, 1, 1]), (psi5, [1, 1, 1, 1, -1j])):
+        raw = np.array(raw, dtype=complex)
+        assert state().deltas.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from quditbell.bell import (
     lhv_max,
     monomial_observables,
     optimize_basis,
+    phase_table_polys,
     protocol_basis,
     rotation_phase,
     violation,
@@ -64,6 +66,46 @@ def test_builtin_operator_coefficients_match_polynomials():
             assert abs(by_key[key] - expected) < 1e-12
 
 
+# sha256 of repr(BUILTIN_POLYS) as recorded from the hand-typed integer tables
+# that the phase tables replaced; it holds only integers, so every platform
+# must reproduce it.
+BUILTIN_POLYS_SHA256 = "4d34c1a0550d19214997d519a0ce8d3f4d39f83c5cd19d715d52d79a32b07677"
+
+
+def test_builtin_polys_golden():
+    assert hashlib.sha256(repr(BUILTIN_POLYS).encode()).hexdigest() == BUILTIN_POLYS_SHA256
+
+
+def operator_from_polys(d: int, polys: dict) -> BellOperator:
+    w = omega(d)
+    return BellOperator(d, tuple(
+        BellMonomial(ae, be, complex(sum(p * w**k for k, p in enumerate(poly))))
+        for (ae, be), poly in polys.items()
+    ))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_phase_table_operator_is_sharp(d, data):
+    """For any phase table g, the derived operator takes the value
+    d^2 w^(g[r][s] - p - q) at A1 = w^p, A2 = w^(p+r), B1 = w^q, B2 = w^(q+s)."""
+    g = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=d * d, max_size=d * d)))
+    g = g.reshape(d, d)
+    t = operator_from_polys(d, phase_table_polys(g))
+    roots = roots_of_unity(d)
+    p, q, r, s = np.ix_(*[np.arange(d)] * 4)
+    values = np.zeros((d,) * 4, dtype=complex)
+    for m in t.monomials:
+        (i1, i2), (j1, j2) = m.alice_exponents, m.bob_exponents
+        values += m.coefficient * roots[(i1 * p + i2 * (p + r) + j1 * q + j2 * (q + s)) % d]
+    assert np.abs(np.abs(values) - d * d).max() < 1e-9
+    assert np.abs((values / (d * d)) ** d - 1).max() < 1e-9
+    assert np.abs(values / (d * d) - roots[(g[r, s] - p - q) % d]).max() < 1e-9
+    if d >= 3:  # at d = 2, cos(pi/2) ~ 6e-17 makes classical_norm ~ 0
+        assert lhv_max(t) <= 1 + 1e-12
+
+
 def test_builtin_operator_rejects_other_dimensions():
     with pytest.raises(InvalidDimensionError):
         builtin_operator(6)
@@ -72,6 +114,12 @@ def test_builtin_operator_rejects_other_dimensions():
 def test_operator_homogeneity_enforced():
     with pytest.raises(ValueError):
         BellOperator(3, (BellMonomial((1, 0), (2, 0), 1.0),))
+
+
+@pytest.mark.parametrize("alice,bob", [((3, -1), (2, 0)), ((2, 0), (-1, 3))])
+def test_operator_rejects_negative_exponents(alice, bob):
+    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
+        BellOperator(3, (BellMonomial(alice, bob, 1.0),))
 
 
 @pytest.mark.parametrize(
@@ -100,7 +148,7 @@ def test_violation_builds_each_observable_table_once(monkeypatch):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_deterministic_values_are_scaled_roots_of_unity(d):
-    """Sharpness property behind the corrected tables: every deterministic
+    """Sharpness property that the phase tables build in: every deterministic
     root-of-unity assignment evaluates the operator to d^2 * (d-th root)."""
     t = builtin_operator(d)
     w = roots_of_unity(d)

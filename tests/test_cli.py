@@ -104,6 +104,15 @@ def test_state_file(tmp_path, capsys):
     assert "P(k+k'=0 mod d) = 1.0000" in out
 
 
+@pytest.mark.parametrize("deltas", [[[1e-200, 0], [0, 0], [0, 0]], [[1e-160, 0], [1e-160, 0], [0, 0]]])
+def test_state_file_with_tiny_coefficients(deltas, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": 3, "deltas": deltas}))
+    code, out, err = run_cli(capsys, "violation", "--d", "3", "--state", str(path))
+    assert code == 0
+    assert err == "" and "v = " in out
+
+
 def test_simulate_agreement_and_schema(capsys):
     code, out, _ = run_cli(
         capsys,

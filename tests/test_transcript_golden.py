@@ -105,6 +105,14 @@ CLI_GOLDEN = {
 # repr of theta_scan(psi3(), builtin_operator(3), num_points=300)
 THETA_SCAN_GOLDEN = "((0.869149881167184+0.49454876813825954j), 1.505578603970351)"
 
+# d -> sha256 of builtin_operator(d).to_json(), recorded from the hand-typed
+# integer tables that the phase tables replaced
+COEFFICIENT_JSON_GOLDEN = {
+    3: "0dd635d661f4410ac68c62c348c60be8268a4f2178efb66044e3921e94bc34d8",
+    4: "ff152869dc266b325a47aadf7acdb6bfa02907004f14a86d3fdd86399b111e6a",
+    5: "a1e73eaae90669a73d0e5f2db7f025ff2a71938b4d0ba3606876b0f9b43e6f28",
+}
+
 
 def platform_fingerprint() -> str:
     try:
@@ -163,6 +171,12 @@ def test_cli_golden_checksum(argv, capsys):
 @on_golden_platform
 def test_theta_scan_golden():
     assert repr(theta_scan(psi3(), builtin_operator(3), num_points=300)) == THETA_SCAN_GOLDEN
+
+
+@on_golden_platform
+@pytest.mark.parametrize("d", sorted(COEFFICIENT_JSON_GOLDEN))
+def test_coefficient_table_golden(d):
+    assert sha(builtin_operator(d).to_json()) == COEFFICIENT_JSON_GOLDEN[d]
 
 
 # --- per-round reference implementation (the pre-columnar code) -----------
