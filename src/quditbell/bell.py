@@ -35,10 +35,12 @@ from .algebra import (
 )
 from .ditter import (
     DitterObservable,
+    LabelConvention,
     PhaseVector,
     geometric_phases,
+    observable_matrices,
+    party_phase_table,
     power_observable,
-    product_observable,
 )
 
 #: default base phase for the reference measurement bases
@@ -89,6 +91,11 @@ class BellOperator:
     def __post_init__(self):
         for m in self.monomials:
             m.check_degree(self.d)
+
+    @cached_property
+    def basis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's table index (m.basis_pair) of every monomial, in order."""
+        return tuple(np.array([m.basis_pair for m in self.monomials], np.intp).reshape(-1, 2).T)
 
     def coefficient_table(self) -> dict:
         """JSON-friendly coefficient listing for audit."""
@@ -169,26 +176,31 @@ class BasisAssignment:
         return self.alice_generators[0].d
 
     @cached_property
+    def phase_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's (d, d) tables; row a is the phase vector of X1^{d-1-a} X2^a."""
+        return party_phase_table(*self.alice_generators), party_phase_table(*self.bob_generators)
+
+    @cached_property
+    def label_convention(self) -> LabelConvention:
+        """Every table entry's labels: those of X1^{d-1}, conjugate but at d = 2."""
+        return power_observable(self.alice_generators[0], self.d - 1).label_convention
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's and Bob's (d, d, d) stacks of observable matrices, in table order."""
+        return tuple(observable_matrices(t, self.label_convention) for t in self.phase_tables)
+
+    @cached_property
     def alice_observables(self) -> tuple[DitterObservable, ...]:
         """Entry a is A1^{d-1-a} A2^a."""
-        return _observable_table(*self.alice_generators)
+        return tuple(DitterObservable(PhaseVector(self.d, r), self.label_convention)
+                     for r in self.phase_tables[0])
 
     @cached_property
     def bob_observables(self) -> tuple[DitterObservable, ...]:
         """Entry b is B1^{d-1-b} B2^b."""
-        return _observable_table(*self.bob_generators)
-
-
-def _observable_table(x: PhaseVector, y: PhaseVector) -> tuple[DitterObservable, ...]:
-    """The d single-ditter observables X^{d-1-a} Y^a, a = 0..d-1.
-
-    The pure powers X^{d-1} and Y^{d-1} are the generator's adjoint (same
-    ditter, conjugate labels); mixed powers go through the product-ditter
-    composition.
-    """
-    d = x.d
-    mixed = (product_observable(x, y, d - 1 - a, a) for a in range(1, d - 1))
-    return (power_observable(x, d - 1), *mixed, power_observable(y, d - 1))
+        return tuple(DitterObservable(PhaseVector(self.d, r), self.label_convention)
+                     for r in self.phase_tables[1])
 
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
@@ -242,24 +254,26 @@ def monomial_observables(
     return basis.alice_observables[a], basis.bob_observables[b]
 
 
-def _expectation(v, vc, alice: DitterObservable, bob: DitterObservable) -> complex:
-    """<v|A (x) B|v> (vc = v.conj()) via np.kron's own multiply and BLAS calls, bit for bit."""
-    kron = np.multiply(alice.matrix[:, None, :, None], bob.matrix[None, :, None, :])
-    return complex((vc @ kron.reshape(len(v), len(v))) @ v)
+BLOCK_ENTRIES = 2**16  # complex entries of the A (x) B stack violation forms at once: 1 MiB
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
     """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))
-    of a pure state; isotropic noise N scales it by (1 - N)."""
+    of a pure state; isotropic noise N scales it by (1 - N).  E_m = <v|A (x) B|v>
+    in blocks of monomials: np.kron's multiply, then per slice its zgemv and dot."""
     d = t.d
     if state.d != d or basis.d != d:
         raise DimensionMismatchError("state, operator, and basis dimensions differ")
-    v = state.vector
-    vc = v.conj()
+    v, step = state.vector, max(1, BLOCK_ENTRIES // d**4)
+    (alice, bob), (a_idx, b_idx) = basis.matrices, t.basis_pairs
     total = 0j
-    for m in t.monomials:
-        a_obs, b_obs = monomial_observables(m, basis)
-        total += m.coefficient * _expectation(v, vc, a_obs, b_obs)
+    for lo in range(0, len(t.monomials), step):
+        a, b = alice[a_idx[lo:lo + step]], bob[b_idx[lo:lo + step]]
+        w = v.conj() @ np.multiply(  # the block's A (x) B stack lives only for this zgemv
+            a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
+        expectations = (w[:, None, :] @ v[:, None])[:, 0, 0]
+        for m, e in zip(t.monomials[lo:lo + step], expectations.tolist()):
+            total += m.coefficient * e
     return float((rotation_phase(d) * total).real / classical_norm(d))
 
 

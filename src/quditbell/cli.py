@@ -11,8 +11,8 @@ Subcommands:
 
 Every JSON output carries a manifest (command, resolved parameters, seed,
 tool version) and a sha256 checksum of the result payload, so identical
-invocations are verifiably byte-identical.  Exit codes: 0 success, 2
-validation error, 3 insufficient data.
+invocations are verifiably byte-identical.  Exit codes: 0 success, 1 failed
+check (``lhv`` over its bound), 2 validation error, 3 insufficient data.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import numpy as np
 from . import algebra, bell, protocol, security
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_INSUFFICIENT_DATA = 3
 
@@ -330,7 +331,7 @@ def cmd_lhv(args) -> int:
         )
 
     _emit("lhv", _params(args, ["d"]), result, args, render)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_spectrum(args) -> int:

@@ -52,7 +52,7 @@ class PhaseVector:
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {thetas.shape}"
             )
-        if not np.all(np.abs(np.abs(thetas) - 1.0) <= PHASE_TOL):  # NaN fails too
+        if not (np.abs(np.abs(thetas) - 1.0) <= PHASE_TOL).all():  # NaN fails too
             raise InvalidPhaseError("phase entries must have unit modulus")
         object.__setattr__(self, "thetas", thetas)
 
@@ -88,14 +88,7 @@ class DitterObservable:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        d = self.phases.d
-        th = self.phases.thetas
-        z = np.zeros((d, d), dtype=complex)
-        rows = (np.arange(d) + 1) % d
-        z[rows, np.arange(d)] = th * th[rows].conj()
-        if self.label_convention is LabelConvention.CONJUGATE:
-            return z.conj().T
-        return z
+        return observable_matrices(self.phases.thetas[np.newaxis], self.label_convention)[0]
 
     @cached_property
     def ditter_unitary(self) -> np.ndarray:
@@ -131,16 +124,33 @@ def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> Phas
     Z_Theta^i Z_Lambda^j == Z_Gamma^dag.
     """
     d = theta.d
-    if lam.d != d:
-        raise DimensionMismatchError("phase vectors have different dimensions")
     if not (1 <= i <= d - 2) or i + j != d - 1:
         raise ExponentConstraintError(
             f"need 1 <= i <= {d - 2} and i + j = {d - 1}, got (i, j) = ({i}, {j})"
         )
-    k = np.arange(d)[:, np.newaxis]
-    th_part = theta.thetas[(k + np.arange(d - i)) % d].prod(axis=1)
-    la_part = lam.thetas[(k - i + np.arange(i + 1)) % d].prod(axis=1)
-    return PhaseVector(d, complex_product(th_part, la_part))
+    return PhaseVector(d, party_phase_table(theta, lam)[j])
+
+
+def party_phase_table(x: PhaseVector, y: PhaseVector) -> np.ndarray:
+    """(d, d) table, row a the phase vector of X^{d-1-a} Y^a: X and Y at a = 0, d-1,
+    else gamma above (i = d-1-a) from running products of the shifted generators."""
+    d = x.d
+    if y.d != d:
+        raise DimensionMismatchError("phase vectors have different dimensions")
+    k = np.arange(d)
+    cx, cy = (g.thetas[(k[:, np.newaxis] + k) % d].cumprod(axis=1) for g in (x, y))
+    i = d - 1 - k[1:-1, np.newaxis]
+    mixed = complex_product(cx[k, d - 1 - i], cy[(k - i) % d, i])
+    return np.concatenate([x.thetas[np.newaxis], mixed, y.thetas[np.newaxis]])
+
+
+def observable_matrices(thetas: np.ndarray, convention: LabelConvention) -> np.ndarray:
+    """(n, d, d) stack of Z_Theta, or Z_Theta^dag if CONJUGATE, one per row of thetas."""
+    n, d = thetas.shape
+    k = np.arange(d)
+    z = np.zeros((n, d, d), dtype=complex)
+    z[:, (k + 1) % d, k] = thetas * thetas[:, (k + 1) % d].conj()
+    return z.conj().transpose(0, 2, 1) if convention is LabelConvention.CONJUGATE else z
 
 
 def product_observable(

@@ -4,10 +4,13 @@ The library represents isotropic noise N as a (1 - N) weight on a pure
 Schmidt state.  These helpers build the noisy density matrix itself and read
 the Bell operator off it by the trace, independently of that shortcut.
 ``kron_violation`` is the np.kron loop that ``bell.violation`` must match bit
-for bit.
+for bit, and ``observable_table_loop`` the one-observable-at-a-time table
+build that a basis assignment's stacked phase tables and matrices must match
+byte for byte.
 """
 import numpy as np
 
+from quditbell.algebra import complex_product
 from quditbell.bell import classical_norm, monomial_observables, rotation_phase
 
 
@@ -43,3 +46,34 @@ def kron_violation(state, t, basis) -> float:
         v = state.vector
         total += m.coefficient * complex(v.conj() @ np.kron(a_obs.matrix, b_obs.matrix) @ v)
     return float((rotation_phase(d) * total).real / classical_norm(d))
+
+
+def _product_phases_loop(x, y, i: int) -> np.ndarray:
+    """Phase vector of X^i Y^(d-1-i): each entry's two running products by
+    numpy's prod over the shifted generators, then one Python-style multiply."""
+    d = len(x)
+    k = np.arange(d)[:, np.newaxis]
+    th_part = x[(k + np.arange(d - i)) % d].prod(axis=1)
+    la_part = y[(k - i + np.arange(i + 1)) % d].prod(axis=1)
+    return complex_product(th_part, la_part)
+
+
+def _observable_matrix(thetas: np.ndarray, conjugate: bool) -> np.ndarray:
+    """Z_Theta = sum_k theta_k theta*_{k+1} |k+1><k|, or its adjoint."""
+    d = len(thetas)
+    z = np.zeros((d, d), dtype=complex)
+    rows = (np.arange(d) + 1) % d
+    z[rows, np.arange(d)] = thetas * thetas[rows].conj()
+    return z.conj().T if conjugate else z
+
+
+def observable_table_loop(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(phase table, matrix stack, conjugate labels?) of the d observables
+    X^{d-1-a} Y^a built one at a time: the pure powers are the generators
+    themselves (conjugate labels unless d - 1 = 1), the mixed ones product
+    ditters (always conjugate labels)."""
+    d = x.d
+    rows = [x.thetas, *(_product_phases_loop(x.thetas, y.thetas, d - 1 - a)
+                        for a in range(1, d - 1)), y.thetas]
+    conjugate = d - 1 != 1
+    return np.array(rows), np.array([_observable_matrix(r, conjugate) for r in rows]), conjugate

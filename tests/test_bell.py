@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditbell import ditter
+from quditbell import bell
 from quditbell.algebra import (
     InvalidDimensionError,
     make_state,
@@ -33,9 +34,11 @@ from quditbell.bell import (
     rotation_phase,
     violation,
 )
-from quditbell.ditter import outcome_distribution
+from quditbell.ditter import LabelConvention, outcome_distribution
 
-from dense_oracle import bell_matrix, dense_violation, kron_violation, noisy_density
+from dense_oracle import (
+    bell_matrix, dense_violation, kron_violation, noisy_density, observable_table_loop
+)
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
 
@@ -133,17 +136,23 @@ def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
 
 def test_violation_builds_each_observable_table_once(monkeypatch):
     calls = []
-    original = ditter.product_phases
+    original = bell.party_phase_table
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ditter, "product_phases", counting)
-    d = 5
-    violation(psi5(), builtin_operator(d), canonical_basis(d))
-    # d - 2 product-ditter entries per party, each built once for all d^2 monomials
-    assert len(calls) == 2 * (d - 2)
+    monkeypatch.setattr(bell, "party_phase_table", counting)
+    for d in range(2, 10):
+        calls.clear()
+        t = BellOperator(d, tuple(
+            BellMonomial((d - 1 - a, a), (d - 1 - b, b), 1.0) for a in range(d) for b in range(d)
+        ))
+        basis = canonical_basis(d)
+        violation(maximally_entangled(d), t, basis)
+        violation(maximally_entangled(d), t, basis)
+        # one table per party for all d^2 monomials, none again for the same basis
+        assert len(calls) == 2, d
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -294,3 +303,43 @@ def test_violation_equals_kron_route_exactly(d, data):
         t = builtin_operator(d)
         for candidate in assignment_candidates(d):
             assert violation(state, t, candidate) == kron_violation(state, t, candidate)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_stacked_tables_equal_loop_bytes(d, data):
+    """Each party's phase table, matrix stack and observables are byte-equal to
+    the one-observable-at-a-time build."""
+    exponents = data.draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
+    basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
+    generators = (basis.alice_generators, basis.bob_generators)
+    observables = (basis.alice_observables, basis.bob_observables)
+    for party in (0, 1):
+        table, matrices = basis.phase_tables[party], basis.matrices[party]
+        table_loop, matrices_loop, conjugate = observable_table_loop(*generators[party])
+        assert table.shape == (d, d) and matrices.shape == (d, d, d)
+        assert table.tobytes() == table_loop.tobytes()
+        assert matrices.tobytes() == matrices_loop.tobytes()
+        for obs, row, matrix in zip(observables[party], table_loop, matrices_loop, strict=True):
+            assert obs.phases.thetas.tobytes() == row.tobytes()
+            assert obs.matrix.tobytes() == matrix.tobytes()
+            assert (obs.label_convention is LabelConvention.CONJUGATE) == conjugate
+
+
+def test_violation_memory_is_bounded_by_its_block():
+    """At d = 9 the 81 Kronecker products would take 8.5 MB at once; the
+    blocks keep the peak near one block of bell.BLOCK_ENTRIES entries (1 MiB)."""
+    d = 9
+    t = BellOperator(d, tuple(
+        BellMonomial((d - 1 - a, a), (d - 1 - b, b), 1.0) for a in range(d) for b in range(d)
+    ))
+    state, basis = maximally_entangled(d), canonical_basis(d)
+    violation(state, t, basis)  # the cached tables and index arrays are not counted
+    tracemalloc.start()
+    try:
+        violation(state, t, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from quditbell import cli, ditter, protocol
+from quditbell import bell, cli, protocol
 from quditbell.algebra import maximally_entangled
 from quditbell.bell import BasisAssignment, builtin_operator
 from quditbell.ditter import PhaseVector
@@ -225,6 +225,21 @@ def test_lhv_pass(capsys):
         assert "PASS" in out
 
 
+def test_lhv_exits_1_when_its_check_fails(monkeypatch, tmp_path, capsys):
+    polys = {key: list(poly) for key, poly in bell.BUILTIN_POLYS[4].items()}
+    polys[next(iter(polys))][0] += 1
+    monkeypatch.setitem(bell.BUILTIN_POLYS, 4, polys)
+    code, out, err = run_cli(capsys, "lhv", "--d", "4")
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "") and cli.EXIT_CHECK_FAILED == 1
+    assert "maximum = 1.0625000000" in out and "FAIL" in out
+    path = tmp_path / "lhv.json"
+    code, out, _ = run_cli(capsys, "lhv", "--d", "4", "--format", "json", "--out", str(path))
+    assert (code, out) == (1, "")
+    doc = json.loads(path.read_text())  # the document is still written
+    validate(doc)
+    assert doc["result"]["pass"] is False
+
+
 def test_lhv_json(capsys):
     code, out, _ = run_cli(capsys, "lhv", "--d", "3", "--format", "json")
     doc = json.loads(out)
@@ -385,20 +400,18 @@ def test_simulate_csv_format_streams_to_out_file(tmp_path, capsys):
 
 def test_simulate_builds_its_basis_once(monkeypatch, capsys):
     """run_protocol and the analytic violation share the config's basis, so
-    each party's observable table is built once per run."""
+    each party's phase table is built once per run."""
     calls = []
-    original = ditter.product_phases
+    original = bell.party_phase_table
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ditter, "product_phases", counting)
-    d = 5
-    code, _, _ = run_cli(capsys, "simulate", "--d", str(d), "--state", "psi5", "--rounds", "2000")
+    monkeypatch.setattr(bell, "party_phase_table", counting)
+    code, _, _ = run_cli(capsys, "simulate", "--d", "5", "--state", "psi5", "--rounds", "2000")
     assert code == 0
-    # d - 2 product-ditter entries per party
-    assert len(calls) == 2 * (d - 2)
+    assert len(calls) == 2  # one per party
 
 
 @pytest.mark.parametrize("d", ["1", "33", "300"])

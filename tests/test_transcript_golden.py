@@ -26,6 +26,7 @@ from quditbell.algebra import (
     DimensionMismatchError,
     maximally_entangled,
     psi3,
+    psi4,
     psi5,
     roots_of_unity,
 )
@@ -105,6 +106,13 @@ CLI_GOLDEN = {
 # repr of theta_scan(psi3(), builtin_operator(3), num_points=300)
 THETA_SCAN_GOLDEN = "((0.869149881167184+0.49454876813825954j), 1.505578603970351)"
 
+# (state, num_points) -> repr of theta_scan(state(), builtin_operator(d), num_points),
+# recorded before violation evaluated its monomials in stacked blocks
+THETA_SCAN_GOLDENS = {
+    (psi5, 160): "((0.9602936856769431+0.2789911060392293j), 1.589776818134293)",
+    (psi4, 200): "((0.8924283781237179+0.4511890844418451j), 1.606707215965691)",
+}
+
 # d -> sha256 of builtin_operator(d).to_json(), recorded from the hand-typed
 # integer tables that the phase tables replaced
 COEFFICIENT_JSON_GOLDEN = {
@@ -171,6 +179,14 @@ def test_cli_golden_checksum(argv, capsys):
 @on_golden_platform
 def test_theta_scan_golden():
     assert repr(theta_scan(psi3(), builtin_operator(3), num_points=300)) == THETA_SCAN_GOLDEN
+
+
+@on_golden_platform
+@pytest.mark.parametrize("state,num_points", THETA_SCAN_GOLDENS, ids=["psi5-160", "psi4-200"])
+def test_theta_scan_goldens_at_d4_d5(state, num_points):
+    d = state().d
+    got = repr(theta_scan(state(), builtin_operator(d), num_points=num_points))
+    assert got == THETA_SCAN_GOLDENS[(state, num_points)]
 
 
 @on_golden_platform
