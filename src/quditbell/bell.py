@@ -40,7 +40,6 @@ from .ditter import (
     geometric_phases,
     observable_matrices,
     party_phase_table,
-    power_observable,
 )
 
 #: default base phase for the reference measurement bases
@@ -180,27 +179,29 @@ class BasisAssignment:
         """Alice's and Bob's (d, d) tables; row a is the phase vector of X1^{d-1-a} X2^a."""
         return party_phase_table(*self.alice_generators), party_phase_table(*self.bob_generators)
 
-    @cached_property
+    @property
     def label_convention(self) -> LabelConvention:
-        """Every table entry's labels: those of X1^{d-1}, conjugate but at d = 2."""
-        return power_observable(self.alice_generators[0], self.d - 1).label_convention
+        """Every table entry's labels: those of X^{d-1}, i.e. conjugate but at d = 2."""
+        return LabelConvention.STANDARD if self.d == 2 else LabelConvention.CONJUGATE
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Alice's and Bob's (d, d, d) stacks of observable matrices, in table order."""
         return tuple(observable_matrices(t, self.label_convention) for t in self.phase_tables)
 
+    def _observables(self, party: int) -> tuple[DitterObservable, ...]:
+        return tuple(DitterObservable(PhaseVector(self.d, row), self.label_convention)
+                     for row in self.phase_tables[party])
+
     @cached_property
     def alice_observables(self) -> tuple[DitterObservable, ...]:
         """Entry a is A1^{d-1-a} A2^a."""
-        return tuple(DitterObservable(PhaseVector(self.d, r), self.label_convention)
-                     for r in self.phase_tables[0])
+        return self._observables(0)
 
     @cached_property
     def bob_observables(self) -> tuple[DitterObservable, ...]:
         """Entry b is B1^{d-1-b} B2^b."""
-        return tuple(DitterObservable(PhaseVector(self.d, r), self.label_convention)
-                     for r in self.phase_tables[1])
+        return self._observables(1)
 
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
@@ -245,13 +246,15 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
 
 
 def monomial_observables(
-    m: BellMonomial, basis: BasisAssignment
-) -> tuple[DitterObservable, DitterObservable]:
-    """One monomial's Alice and Bob factors, looked up in the basis
-    assignment's observable tables at ``m.basis_pair``."""
-    m.check_degree(basis.d)
-    a, b = m.basis_pair
-    return basis.alice_observables[a], basis.bob_observables[b]
+    t: BellOperator | BellMonomial, basis: BasisAssignment
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's (n, d, d) factor matrices of t's n monomials (a lone
+    monomial: n = 1), gathered from the basis assignment's stacks at m.basis_pair."""
+    t = BellOperator(basis.d, (t,)) if isinstance(t, BellMonomial) else t
+    if t.d != basis.d:
+        raise DimensionMismatchError("operator and basis dimensions differ")
+    (a, b), (alice, bob) = t.basis_pairs, basis.matrices
+    return alice[a], bob[b]
 
 
 BLOCK_ENTRIES = 2**16  # complex entries of the A (x) B stack violation forms at once: 1 MiB
@@ -259,16 +262,16 @@ BLOCK_ENTRIES = 2**16  # complex entries of the A (x) B stack violation forms at
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
     """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))
-    of a pure state; isotropic noise N scales it by (1 - N).  E_m = <v|A (x) B|v>
-    in blocks of monomials: np.kron's multiply, then per slice its zgemv and dot."""
+    of a pure state; isotropic noise N scales it by (1 - N).  Per block of monomials,
+    np.kron's multiply, then per slice the zgemv and dot of <v|A (x) B|v>."""
     d = t.d
     if state.d != d or basis.d != d:
         raise DimensionMismatchError("state, operator, and basis dimensions differ")
     v, step = state.vector, max(1, BLOCK_ENTRIES // d**4)
-    (alice, bob), (a_idx, b_idx) = basis.matrices, t.basis_pairs
+    alice, bob = monomial_observables(t, basis)
     total = 0j
     for lo in range(0, len(t.monomials), step):
-        a, b = alice[a_idx[lo:lo + step]], bob[b_idx[lo:lo + step]]
+        a, b = alice[lo:lo + step], bob[lo:lo + step]
         w = v.conj() @ np.multiply(  # the block's A (x) B stack lives only for this zgemv
             a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
         expectations = (w[:, None, :] @ v[:, None])[:, 0, 0]

@@ -134,10 +134,9 @@ def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> Phas
 def party_phase_table(x: PhaseVector, y: PhaseVector) -> np.ndarray:
     """(d, d) table, row a the phase vector of X^{d-1-a} Y^a: X and Y at a = 0, d-1,
     else gamma above (i = d-1-a) from running products of the shifted generators."""
-    d = x.d
-    if y.d != d:
+    if y.d != x.d:
         raise DimensionMismatchError("phase vectors have different dimensions")
-    k = np.arange(d)
+    d, k = x.d, np.arange(x.d)
     cx, cy = (g.thetas[(k[:, np.newaxis] + k) % d].cumprod(axis=1) for g in (x, y))
     i = d - 1 - k[1:-1, np.newaxis]
     mixed = complex_product(cx[k, d - 1 - i], cy[(k - i) % d, i])

@@ -10,8 +10,13 @@ byte for byte.
 """
 import numpy as np
 
-from quditbell.algebra import complex_product
-from quditbell.bell import classical_norm, monomial_observables, rotation_phase
+from quditbell.bell import classical_norm, rotation_phase
+
+
+def factors(m, basis):
+    """Monomial m's Alice and Bob observable objects, looked up one at a time."""
+    a, b = m.basis_pair
+    return basis.alice_observables[a], basis.bob_observables[b]
 
 
 def noisy_density(state, noise: float) -> np.ndarray:
@@ -23,10 +28,8 @@ def noisy_density(state, noise: float) -> np.ndarray:
 
 def bell_matrix(t, basis) -> np.ndarray:
     """T = sum_m c_m kron(A_m, B_m), the Bell operator as a d^2 x d^2 matrix."""
-    return sum(
-        m.coefficient * np.kron(*(obs.matrix for obs in monomial_observables(m, basis)))
-        for m in t.monomials
-    )
+    return sum(m.coefficient * np.kron(*(obs.matrix for obs in factors(m, basis)))
+               for m in t.monomials)
 
 
 def dense_violation(rho: np.ndarray, t, basis) -> float:
@@ -42,20 +45,23 @@ def kron_violation(state, t, basis) -> float:
     d = t.d
     total = 0j
     for m in t.monomials:
-        a_obs, b_obs = monomial_observables(m, basis)
+        a_obs, b_obs = factors(m, basis)
         v = state.vector
         total += m.coefficient * complex(v.conj() @ np.kron(a_obs.matrix, b_obs.matrix) @ v)
     return float((rotation_phase(d) * total).real / classical_norm(d))
 
 
-def _product_phases_loop(x, y, i: int) -> np.ndarray:
-    """Phase vector of X^i Y^(d-1-i): each entry's two running products by
-    numpy's prod over the shifted generators, then one Python-style multiply."""
-    d = len(x)
-    k = np.arange(d)[:, np.newaxis]
-    th_part = x[(k + np.arange(d - i)) % d].prod(axis=1)
-    la_part = y[(k - i + np.arange(i + 1)) % d].prod(axis=1)
-    return complex_product(th_part, la_part)
+def product_phases_loop(theta, lam, i: int) -> np.ndarray:
+    """Gamma of Z_Theta^i Z_Lambda^(d-1-i) one entry at a time, each a product
+    of two numpy complex scalars."""
+    d = theta.d
+    idx = np.arange(d)
+    gammas = np.empty(d, dtype=complex)
+    for k in range(d):
+        th_part = theta.thetas[(k + idx[: d - i]) % d].prod()
+        la_part = lam.thetas[(k - i + idx[: i + 1]) % d].prod()
+        gammas[k] = th_part * la_part
+    return gammas
 
 
 def _observable_matrix(thetas: np.ndarray, conjugate: bool) -> np.ndarray:
@@ -73,7 +79,7 @@ def observable_table_loop(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
     themselves (conjugate labels unless d - 1 = 1), the mixed ones product
     ditters (always conjugate labels)."""
     d = x.d
-    rows = [x.thetas, *(_product_phases_loop(x.thetas, y.thetas, d - 1 - a)
+    rows = [x.thetas, *(product_phases_loop(x, y, d - 1 - a)
                         for a in range(1, d - 1)), y.thetas]
     conjugate = d - 1 != 1
     return np.array(rows), np.array([_observable_matrix(r, conjugate) for r in rows]), conjugate

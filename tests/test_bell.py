@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditbell import bell
 from quditbell.algebra import (
+    DimensionMismatchError,
     InvalidDimensionError,
     make_state,
     maximally_entangled,
@@ -37,7 +38,7 @@ from quditbell.bell import (
 from quditbell.ditter import LabelConvention, outcome_distribution
 
 from dense_oracle import (
-    bell_matrix, dense_violation, kron_violation, noisy_density, observable_table_loop
+    bell_matrix, dense_violation, factors, kron_violation, noisy_density, observable_table_loop
 )
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
@@ -132,6 +133,20 @@ def test_operator_rejects_negative_exponents(alice, bob):
 def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
     with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
         monomial_observables(BellMonomial(alice, bob, 1.0), canonical_basis(3))
+
+
+def test_monomial_observables_gathers_each_monomials_factor_matrices():
+    d = 4
+    t, basis = builtin_operator(d), canonical_basis(d)
+    alice, bob = monomial_observables(t, basis)
+    assert alice.shape == bob.shape == (len(t.monomials), d, d)
+    for m, a, b in zip(t.monomials, alice, bob, strict=True):
+        a_obs, b_obs = factors(m, basis)
+        assert (a.tobytes(), b.tobytes()) == (a_obs.matrix.tobytes(), b_obs.matrix.tobytes())
+    lone = monomial_observables(t.monomials[3], basis)
+    assert [x.tobytes() for x in lone] == [alice[3:4].tobytes(), bob[3:4].tobytes()]
+    with pytest.raises(DimensionMismatchError):
+        monomial_observables(t, canonical_basis(3))
 
 
 def test_violation_builds_each_observable_table_once(monkeypatch):
@@ -239,7 +254,7 @@ def test_correlation_matches_operator_expectation():
     state = psi4()
     basis = canonical_basis(d)
     for m in builtin_operator(d).monomials:
-        a_obs, b_obs = monomial_observables(m, basis)
+        a_obs, b_obs = factors(m, basis)
         e_stat = label_correlation(state, a_obs, b_obs)
         op = np.kron(a_obs.matrix, b_obs.matrix)
         e_op = state.vector.conj() @ op @ state.vector

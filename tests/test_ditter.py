@@ -24,7 +24,7 @@ from quditbell.ditter import (
     product_phases,
 )
 
-from dense_oracle import noisy_density
+from dense_oracle import noisy_density, product_phases_loop
 
 
 def random_phases(d, rng):
@@ -129,18 +129,6 @@ def test_product_identity_all_exponents(d, data):
         for a, obs in enumerate(table):
             expected = np.linalg.matrix_power(x1, d - 1 - a) @ np.linalg.matrix_power(x2, a)
             assert np.abs(obs.matrix - expected).max() < 1e-12
-
-
-def product_phases_loop(theta: PhaseVector, lam: PhaseVector, i: int) -> np.ndarray:
-    """Gamma one entry at a time, each a product of two numpy complex scalars."""
-    d = theta.d
-    idx = np.arange(d)
-    gammas = np.empty(d, dtype=complex)
-    for k in range(d):
-        th_part = theta.thetas[(k + idx[: d - i]) % d].prod()
-        la_part = lam.thetas[(k - i + idx[: i + 1]) % d].prod()
-        gammas[k] = th_part * la_part
-    return gammas
 
 
 @pytest.mark.parametrize("d", range(3, 33))
