@@ -23,6 +23,7 @@ from .ditter import (
     LabelConvention,
     PhaseVector,
     ditter_observable,
+    ditter_unitaries,
     geometric_phases,
     outcome_distribution,
     power_observable,
@@ -50,6 +51,7 @@ from .protocol import (
     correlation_spectrum,
     estimate_violation,
     run_protocol,
+    sample_rounds,
     sift,
     write_transcript_csv,
 )

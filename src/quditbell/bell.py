@@ -34,7 +34,6 @@ from .algebra import (
     roots_of_unity,
 )
 from .ditter import (
-    DitterObservable,
     LabelConvention,
     PhaseVector,
     geometric_phases,
@@ -189,20 +188,6 @@ class BasisAssignment:
         """Alice's and Bob's (d, d, d) stacks of observable matrices, in table order."""
         return tuple(observable_matrices(t, self.label_convention) for t in self.phase_tables)
 
-    def _observables(self, party: int) -> tuple[DitterObservable, ...]:
-        return tuple(DitterObservable(PhaseVector(self.d, row), self.label_convention)
-                     for row in self.phase_tables[party])
-
-    @cached_property
-    def alice_observables(self) -> tuple[DitterObservable, ...]:
-        """Entry a is A1^{d-1-a} A2^a."""
-        return self._observables(0)
-
-    @cached_property
-    def bob_observables(self) -> tuple[DitterObservable, ...]:
-        """Entry b is B1^{d-1-b} B2^b."""
-        return self._observables(1)
-
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
 #: assignment, in units of the base phase; Bob exponents are in the conjugate
@@ -309,16 +294,10 @@ def assignment_candidates(d: int, theta: complex | None = None):
     optimize_basis: swaps of the two generators on either side, and the
     globally conjugated settings."""
     a1, a2, b1, b2 = CANONICAL_EXPONENTS
-    seen = set()
-    out = []
-    for aa in ((a1, a2), (a2, a1)):
-        for bb in ((b1, b2), (b2, b1)):
-            for s in (1, -1):
-                exps = (s * aa[0], s * aa[1], s * bb[0], s * bb[1])
-                if exps not in seen:
-                    seen.add(exps)
-                    out.append(exponent_basis(d, exps, theta))
-    return out
+    return [
+        exponent_basis(d, (s * aa[0], s * aa[1], s * bb[0], s * bb[1]), theta)
+        for aa in ((a1, a2), (a2, a1)) for bb in ((b1, b2), (b2, b1)) for s in (1, -1)
+    ]
 
 
 def optimize_basis(

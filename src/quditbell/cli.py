@@ -158,8 +158,9 @@ def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> 
 
 
 def _check_output_paths(args) -> None:
-    """Reject an --out or --transcript path that cannot be created as a file
-    before any work is done, so a bad path leaves no other output behind."""
+    """Reject an --out or --transcript path that cannot be created as a file,
+    or the two naming one file, before any work is done, so a bad path leaves
+    no other output behind."""
     for option in ("out", "transcript"):
         path = getattr(args, option, None)
         if path and os.path.isdir(path):
@@ -169,6 +170,9 @@ def _check_output_paths(args) -> None:
         else:
             continue
         raise ValidationError(f"cannot write --{option} {path!r}: {os.strerror(reason)}")
+    out, transcript = getattr(args, "out", None), getattr(args, "transcript", None)
+    if out and transcript and os.path.realpath(out) == os.path.realpath(transcript):
+        raise ValidationError(f"--out {out!r} and --transcript {transcript!r} name the same file")
 
 
 def _write(pieces, out: str | None) -> None:
@@ -238,26 +242,27 @@ def cmd_simulate(args) -> int:
         rng_seed=args.seed,
         mode=args.mode,
     )
-    transcript, summary = protocol.run_protocol(config)
-
-    result = {
-        "d": d,
-        "mode": config.mode,
-        "rounds": config.rounds,
-        "noise": config.noise,
-        "sift_rate": summary.sift_rate,
-        "agreement_rate": summary.agreement_rate,
-        "agreement_defined": summary.agreement_defined,
-        "key_length": len(summary.key_alice),
-    }
-    # csv output is the transcript alone, so it needs no estimate
-    if args.format != "csv" and config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
-        t = bell.builtin_operator(d)
-        v_hat, stderr = protocol.estimate_violation(transcript, t)
-        analytic = bell.violation(state, t, config.basis)
-        result["violation_estimate"] = v_hat
-        result["violation_stderr"] = stderr
-        result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
+    if args.format == "csv":  # csv output is the transcript alone: no summary, no estimate
+        transcript, result = protocol.sample_rounds(config), {}
+    else:
+        transcript, summary = protocol.run_protocol(config)
+        result = {
+            "d": d,
+            "mode": config.mode,
+            "rounds": config.rounds,
+            "noise": config.noise,
+            "sift_rate": summary.sift_rate,
+            "agreement_rate": summary.agreement_rate,
+            "agreement_defined": summary.agreement_defined,
+            "key_length": len(summary.key_alice),
+        }
+        if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
+            t = bell.builtin_operator(d)
+            v_hat, stderr = protocol.estimate_violation(transcript, t)
+            analytic = bell.violation(state, t, config.basis)
+            result["violation_estimate"] = v_hat
+            result["violation_stderr"] = stderr
+            result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
 
     if args.transcript:
         try:

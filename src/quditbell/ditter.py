@@ -68,6 +68,11 @@ class LabelConvention(enum.Enum):
     STANDARD = "standard"
     CONJUGATE = "conjugate"
 
+    def labels(self, d: int) -> np.ndarray:
+        """Complex outcome label reported by each of the d detector indices."""
+        w = roots_of_unity(d)
+        return w.conj() if self is LabelConvention.CONJUGATE else w
+
 
 @dataclass(frozen=True)
 class DitterObservable:
@@ -93,15 +98,12 @@ class DitterObservable:
     @cached_property
     def ditter_unitary(self) -> np.ndarray:
         """The physical transformation F @ diag(phases) applied before detection."""
-        return fourier_matrix(self.d) * self.phases.thetas[np.newaxis, :]
+        return ditter_unitaries(self.phases.thetas[np.newaxis])[0]
 
     @property
     def labels(self) -> np.ndarray:
         """Complex outcome label reported by each detector index."""
-        w = roots_of_unity(self.d)
-        if self.label_convention is LabelConvention.CONJUGATE:
-            return w.conj()
-        return w
+        return self.label_convention.labels(self.d)
 
 
 def ditter_observable(phases: PhaseVector) -> DitterObservable:
@@ -152,6 +154,11 @@ def observable_matrices(thetas: np.ndarray, convention: LabelConvention) -> np.n
     return z.conj().transpose(0, 2, 1) if convention is LabelConvention.CONJUGATE else z
 
 
+def ditter_unitaries(thetas: np.ndarray) -> np.ndarray:
+    """(n, d, d) stack of ditter unitaries F @ diag(Theta), one per row of thetas."""
+    return fourier_matrix(thetas.shape[1]) * thetas[:, np.newaxis, :]
+
+
 def product_observable(
     theta: PhaseVector, lam: PhaseVector, i: int, j: int
 ) -> DitterObservable:
@@ -172,12 +179,10 @@ def power_observable(phases: PhaseVector, exponent: int) -> DitterObservable:
     )
 
 
-def outcome_distribution(
-    state: EntangledState, alice: DitterObservable, bob: DitterObservable
-) -> np.ndarray:
-    """Joint detector statistics P(k, k') of both parties' ditters acting on
-    the pure state sum_j delta_j |jj>, as a (d, d) array indexed (k Alice,
-    k' Bob).
+def outcome_distribution(state: EntangledState, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Joint detector statistics P(k, k') of both parties' ditters, given as
+    their (d, d) unitaries U_A and U_B, acting on the pure state
+    sum_j delta_j |jj>, as a (d, d) array indexed (k Alice, k' Bob).
 
     The amplitude of |kk'> is sum_j U_A[k, j] U_B[k', j] delta_j, so
 
@@ -186,8 +191,7 @@ def outcome_distribution(
     with no d^2 x d^2 operator.  Isotropic noise N mixes it with the uniform
     table: (1 - N) P + N / d^2.
     """
-    d = alice.d
-    if bob.d != d or state.d != d:
-        raise DimensionMismatchError("state and observables must share one dimension")
-    amps = (alice.ditter_unitary * state.deltas) @ bob.ditter_unitary.T
+    if np.shape(alice) != (state.d, state.d) or np.shape(bob) != (state.d, state.d):
+        raise DimensionMismatchError("state and ditter unitaries must share one dimension")
+    amps = (alice * state.deltas) @ bob.T
     return np.abs(amps) ** 2

@@ -33,7 +33,9 @@ import numpy as np
 
 from .algebra import DimensionMismatchError, EntangledState, complex_product, roots_of_unity
 from .bell import BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
-from .ditter import PHASE_TOL, ditter_observable, geometric_phases, outcome_distribution
+from .ditter import (
+    PHASE_TOL, LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
+)
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
@@ -82,6 +84,18 @@ class ProtocolConfig:
     def basis(self):
         """hdDEB mode's ``protocol_basis(d, theta)``, built once per config."""
         return protocol_basis(self.d, self.theta)
+
+    @cached_property
+    def settings(self) -> tuple[np.ndarray, np.ndarray, LabelConvention]:
+        """Alice's and Bob's (bases, d) phase tables, row a the phases of basis
+        a's ditter, and their detectors' label convention.  NDEB: geometric bases,
+        Bob's in the conjugate family, so matched bases give k + k' = 0 mod d."""
+        if self.mode == HDDEB_MODE:
+            return (*self.basis.phase_tables, self.basis.label_convention)
+        theta = self.theta if self.theta is not None else reference_theta(self.d)
+        alice, bob = (np.array([geometric_phases(self.d, theta, a, sign).thetas
+                                for a in range(self.num_bases)]) for sign in (+1, -1))
+        return alice, bob, LabelConvention.STANDARD
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,31 +206,18 @@ class TranscriptSummary:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _ndeb_observables(config: ProtocolConfig) -> tuple[list, list]:
-    """Four geometric single-ditter bases per party; Bob uses the conjugate
-    phase family so matched bases correlate detectors as k + k' = 0 mod d."""
-    d = config.d
-    theta = config.theta if config.theta is not None else reference_theta(d)
-    alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
-    bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
-    return alice, bob
-
-
-def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]:
+def sample_rounds(config: ProtocolConfig) -> Transcript:
     """Simulate the full round sequence with a seeded generator.
 
     Basis indices are drawn uniformly and independently for both parties;
     detector outcomes are sampled from the exact joint distribution of the
-    noisy state N I/d^2 + (1 - N)|psi><psi| under the chosen observable pair,
+    noisy state N I/d^2 + (1 - N)|psi><psi| under the chosen ditter pair,
     which is (1 - N) |U_A diag(delta) U_B^T|^2 + N/d^2 for N = config.noise.
     The transcript is a deterministic function of the configuration.
     """
-    d = config.d
-    if config.mode == HDDEB_MODE:
-        alice_obs, bob_obs = config.basis.alice_observables, config.basis.bob_observables
-    else:
-        alice_obs, bob_obs = _ndeb_observables(config)
-    n_bases = config.num_bases
+    d, n_bases = config.d, config.num_bases
+    alice_table, bob_table, convention = config.settings
+    alice_u, bob_u = ditter_unitaries(alice_table), ditter_unitaries(bob_table)
 
     rng = np.random.default_rng(config.rng_seed)
     a_draws = rng.integers(0, n_bases, size=config.rounds)
@@ -226,14 +227,17 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
     # each drawn basis pair samples its rounds from its exact joint distribution
     flat = np.empty(config.rounds, dtype=np.intp)  # detector pair k * d + k'
     for (a, b), idx in _pair_rounds(a_draws, b_draws, n_bases).items():
-        pure = outcome_distribution(config.state, alice_obs[a], bob_obs[b])
+        pure = outcome_distribution(config.state, alice_u[a], bob_u[b])
         cdf = np.cumsum(((1.0 - config.noise) * pure + config.noise / (d * d)).ravel())
         flat[idx] = np.minimum(np.searchsorted(cdf, u_draws[idx], side="right"), d * d - 1)
 
-    labels = [np.stack([o.labels for o in obs]) for obs in (alice_obs, bob_obs)]
-    transcript = Transcript(d, a_draws, b_draws, flat // d, flat % d, *labels)
-    del a_draws, b_draws, u_draws, flat, idx  # free the draws before summarize
-    return transcript, summarize(transcript)
+    labels = [np.broadcast_to(convention.labels(d), t.shape) for t in (alice_table, bob_table)]
+    return Transcript(d, a_draws, b_draws, flat // d, flat % d, *labels)
+
+
+def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]:
+    """``sample_rounds(config)`` and its ``summarize``."""
+    return (transcript := sample_rounds(config)), summarize(transcript)
 
 
 def sift(transcript: Transcript) -> tuple[tuple[int, ...], tuple[int, ...], float, bool]:

@@ -6,17 +6,35 @@ the Bell operator off it by the trace, independently of that shortcut.
 ``kron_violation`` is the np.kron loop that ``bell.violation`` must match bit
 for bit, and ``observable_table_loop`` the one-observable-at-a-time table
 build that a basis assignment's stacked phase tables and matrices must match
-byte for byte.
+byte for byte.  ``observables`` and ``ndeb_observables`` give the settings of
+both protocol modes as one DitterObservable per basis.
 """
 import numpy as np
 
-from quditbell.bell import classical_norm, rotation_phase
+from quditbell.bell import classical_norm, reference_theta, rotation_phase
+from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
+
+
+def observables(basis, party: int) -> list:
+    """One DitterObservable per row of the basis's phase table for party 0
+    (Alice) or 1 (Bob), each with the basis's label convention."""
+    return [DitterObservable(PhaseVector(basis.d, row), basis.label_convention)
+            for row in basis.phase_tables[party]]
 
 
 def factors(m, basis):
     """Monomial m's Alice and Bob observable objects, looked up one at a time."""
     a, b = m.basis_pair
-    return basis.alice_observables[a], basis.bob_observables[b]
+    return observables(basis, 0)[a], observables(basis, 1)[b]
+
+
+def ndeb_observables(d: int, theta=None) -> tuple[list, list]:
+    """The NDEB settings built one observable at a time: four geometric
+    single-ditter bases per party, Bob's in the conjugate phase family."""
+    theta = theta if theta is not None else reference_theta(d)
+    alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
+    bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
+    return alice, bob
 
 
 def noisy_density(state, noise: float) -> np.ndarray:

@@ -38,7 +38,13 @@ from quditbell.bell import (
 from quditbell.ditter import LabelConvention, outcome_distribution
 
 from dense_oracle import (
-    bell_matrix, dense_violation, factors, kron_violation, noisy_density, observable_table_loop
+    bell_matrix,
+    dense_violation,
+    factors,
+    kron_violation,
+    noisy_density,
+    observable_table_loop,
+    observables,
 )
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
@@ -230,11 +236,16 @@ def test_violation_density_path_matches_pure_path(d):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_violation_below_hermitian_part_eigenvalue_bound(d):
     """For a fixed basis, no state can exceed the largest eigenvalue of the
-    Hermitian part of e^{i pi/d} T / (d^2 cos(pi/d)), with T built densely."""
+    Hermitian part of e^{i pi/d} T / (d^2 cos(pi/d)), with T built densely.
+    The search covers 8 candidates, no two with the same generator phases."""
     state = STATES[d]()
     t = builtin_operator(d)
+    candidates = assignment_candidates(d)
+    phases = {b"".join(g.thetas.tobytes() for g in (*c.alice_generators, *c.bob_generators))
+              for c in candidates}
+    assert len(candidates) == len(phases) == 8
     bounds = []
-    for basis in assignment_candidates(d):
+    for basis in candidates:
         rotated = np.exp(1j * np.pi / d) * bell_matrix(t, basis)
         bound = np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)[-1]
         bound /= d * d * np.cos(np.pi / d)
@@ -246,7 +257,8 @@ def test_violation_below_hermitian_part_eigenvalue_bound(d):
 def label_correlation(state, a_obs, b_obs) -> complex:
     """E = sum_{k,k'} P(k,k') label_A(k) label_B(k'): the expectation read
     off the detector statistics, as a protocol run estimates it."""
-    return complex(a_obs.labels @ outcome_distribution(state, a_obs, b_obs) @ b_obs.labels)
+    dist = outcome_distribution(state, a_obs.ditter_unitary, b_obs.ditter_unitary)
+    return complex(a_obs.labels @ dist @ b_obs.labels)
 
 
 def test_correlation_matches_operator_expectation():
@@ -329,14 +341,14 @@ def test_stacked_tables_equal_loop_bytes(d, data):
     exponents = data.draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
     basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
     generators = (basis.alice_generators, basis.bob_generators)
-    observables = (basis.alice_observables, basis.bob_observables)
     for party in (0, 1):
         table, matrices = basis.phase_tables[party], basis.matrices[party]
         table_loop, matrices_loop, conjugate = observable_table_loop(*generators[party])
         assert table.shape == (d, d) and matrices.shape == (d, d, d)
         assert table.tobytes() == table_loop.tobytes()
         assert matrices.tobytes() == matrices_loop.tobytes()
-        for obs, row, matrix in zip(observables[party], table_loop, matrices_loop, strict=True):
+        for obs, row, matrix in zip(observables(basis, party), table_loop, matrices_loop,
+                                    strict=True):
             assert obs.phases.thetas.tobytes() == row.tobytes()
             assert obs.matrix.tobytes() == matrix.tobytes()
             assert (obs.label_convention is LabelConvention.CONJUGATE) == conjugate

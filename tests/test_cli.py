@@ -356,6 +356,38 @@ def test_simulate_bad_output_path_writes_nothing(bad, good, message, tmp_path, m
     assert not good_path.exists()
 
 
+@pytest.mark.parametrize("alias", ["t.out", "./t.out"], ids=["same-path", "dot-slash-alias"])
+def test_simulate_out_and_transcript_naming_one_file_exits_2(alias, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(protocol, "run_protocol", pytest.fail)  # rejected before any work
+    code, out, err = run_cli(
+        capsys, "simulate", "--d", "3", "--rounds", "20", "--format", "json",
+        "--out", "t.out", "--transcript", alias,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert "name the same file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt, summaries", [("csv", 0), ("json", 1)])
+def test_simulate_summarizes_only_outside_csv(fmt, summaries, monkeypatch, capsys):
+    """The csv output is the transcript alone, so a csv run makes no summary;
+    its bytes are the CSV of run_protocol's transcript."""
+    calls = []
+    summarize = protocol.summarize
+    monkeypatch.setattr(protocol, "summarize", lambda t: calls.append(t) or summarize(t))
+    code, out, _ = run_cli(capsys, "simulate", "--d", "5", "--state", "psi5", "--rounds", "2000",
+                           "--seed", "4", "--format", fmt)
+    assert code == 0
+    assert len(calls) == summaries
+    if fmt == "csv":
+        config = protocol.ProtocolConfig(d=5, state=cli.parse_state("psi5", 5), rounds=2000,
+                                         rng_seed=4)
+        assert out == protocol.transcript_csv_string(protocol.run_protocol(config)[0])
+
+
 def test_simulate_exit_3_writes_no_file(tmp_path, capsys):
     out_path, transcript_path = tmp_path / "x.json", tmp_path / "t.csv"
     code, _, err = run_cli(

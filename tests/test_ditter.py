@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditbell.algebra import (
+    DimensionMismatchError,
     EntangledState,
     fourier_matrix,
     make_state,
@@ -24,7 +25,7 @@ from quditbell.ditter import (
     product_phases,
 )
 
-from dense_oracle import noisy_density, product_phases_loop
+from dense_oracle import noisy_density, observables, product_phases_loop
 
 
 def random_phases(d, rng):
@@ -121,8 +122,8 @@ def test_product_identity_all_exponents(d, data):
     exponents = data.draw(st.tuples(*[st.integers(-d, d)] * 4))
     basis = exponent_basis(d, exponents, base)
     for generators, table in [
-        (basis.alice_generators, basis.alice_observables),
-        (basis.bob_generators, basis.bob_observables),
+        (basis.alice_generators, observables(basis, 0)),
+        (basis.bob_generators, observables(basis, 1)),
     ]:
         x1, x2 = (ditter_observable(g).matrix for g in generators)
         assert len(table) == d
@@ -177,11 +178,20 @@ def test_outcome_distribution_normalized_and_matches_density_path():
             state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
             a = ditter_observable(random_phases(d, rng))
             b = ditter_observable(random_phases(d, rng))
-            probs = (1 - noise) * outcome_distribution(state, a, b) + noise / d**2
+            dist = outcome_distribution(state, a.ditter_unitary, b.ditter_unitary)
+            probs = (1 - noise) * dist + noise / d**2
             assert probs.shape == (d, d)
             assert abs(probs.sum() - 1.0) < 1e-12
             oracle = dense_distribution(noisy_density(state, noise), a, b)
             assert np.abs(probs - oracle).max() < 1e-12
+
+
+def test_outcome_distribution_rejects_mismatched_unitaries():
+    """Both unitaries must be (d, d) for the state's d."""
+    state, u3, u4 = maximally_entangled(3), fourier_matrix(3), fourier_matrix(4)
+    for alice, bob in [(u4, u4), (u3, u4), (u4, u3), (u3, u3[:2]), (u3[np.newaxis], u3)]:
+        with pytest.raises(DimensionMismatchError):
+            outcome_distribution(state, alice, bob)
 
 
 def test_matched_conjugate_bases_anticorrelate_detectors():
@@ -189,7 +199,7 @@ def test_matched_conjugate_bases_anticorrelate_detectors():
     theta = np.exp(1j * np.pi / (2 * d))
     a = ditter_observable(geometric_phases(d, theta, 1, +1))
     b = ditter_observable(geometric_phases(d, theta, 1, -1))
-    dist = outcome_distribution(maximally_entangled(d), a, b)
+    dist = outcome_distribution(maximally_entangled(d), a.ditter_unitary, b.ditter_unitary)
     for k in range(d):
         for kp in range(d):
             expected = 1.0 / d if (k + kp) % d == 0 else 0.0

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from quditbell import cli, protocol
-from quditbell.algebra import make_state, maximally_entangled, psi5, roots_of_unity
+from quditbell.algebra import fourier_matrix, make_state, maximally_entangled, psi5, roots_of_unity
 from quditbell.bell import (
     builtin_operator,
     classical_norm,
     protocol_basis,
-    reference_theta,
     rotation_phase,
     violation,
 )
-from quditbell.ditter import ditter_observable, geometric_phases, outcome_distribution
+from quditbell.ditter import LabelConvention, ditter_unitaries, outcome_distribution
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
@@ -21,11 +20,14 @@ from quditbell.protocol import (
     correlation_spectrum,
     estimate_violation,
     run_protocol,
+    sample_rounds,
     sift,
     summarize,
     transcript_csv_string,
     write_transcript_csv,
 )
+
+from dense_oracle import ndeb_observables, observables
 
 
 def test_config_validation():
@@ -271,11 +273,9 @@ def test_sampler_matches_outcome_distribution(d, noise, mode, state_kind):
         state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
     if mode == HDDEB_MODE:
         basis = protocol_basis(d)
-        alice, bob = basis.alice_observables, basis.bob_observables
+        alice, bob = observables(basis, 0), observables(basis, 1)
     else:
-        theta = reference_theta(d)
-        alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
-        bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
+        alice, bob = ndeb_observables(d)
     pairs = [(a, b) for a in range(len(alice)) for b in range(len(bob))]
     config = ProtocolConfig(
         d=d, state=state, noise=noise, rounds=1500 * len(pairs), rng_seed=5, mode=mode
@@ -286,11 +286,37 @@ def test_sampler_matches_outcome_distribution(d, noise, mode, state_kind):
         rounds = (transcript.a == a) & (transcript.b == b)
         cells = transcript.k[rounds].astype(int) * d + transcript.kp[rounds]
         observed = np.bincount(cells, minlength=d * d)
-        probs = (1 - noise) * outcome_distribution(state, alice[a], bob[b]).ravel() + noise / d**2
+        pure = outcome_distribution(state, alice[a].ditter_unitary, bob[b].ditter_unitary)
+        probs = (1 - noise) * pure.ravel() + noise / d**2
         zero = probs < 1e-12
         assert not observed[zero].any(), (a, b)
         stat, dof = chi_square(observed[~zero], probs[~zero] * observed.sum())
         assert stat < wilson_hilferty_quantile(dof, 5.0), (a, b, stat, dof)
+
+
+@pytest.mark.parametrize("theta", [None, np.exp(0.7j)], ids=["theta-default", "theta-0.7"])
+@pytest.mark.parametrize("mode", [HDDEB_MODE, NDEB_MODE])
+@pytest.mark.parametrize("d", range(2, 10))
+def test_settings_equal_per_basis_observables(d, mode, theta):
+    """ProtocolConfig.settings holds each per-basis observable's phases and
+    labels, and ditter_unitaries each one's F @ diag(Theta), byte for byte."""
+    config = ProtocolConfig(d=d, state=maximally_entangled(d), theta=theta, rounds=50, mode=mode)
+    if mode == HDDEB_MODE:
+        basis = protocol_basis(d, theta)
+        parties = observables(basis, 0), observables(basis, 1)
+    else:
+        parties = ndeb_observables(d, theta)
+    *tables, convention = config.settings
+    transcript = sample_rounds(config)
+    labels = transcript.alice_labels, transcript.bob_labels
+    for table, objs, party_labels in zip(tables, parties, labels, strict=True):
+        assert table.tobytes() == np.array([o.phases.thetas for o in objs]).tobytes()
+        assert all(o.label_convention is convention for o in objs)
+        assert party_labels.tobytes() == np.array([o.labels for o in objs]).tobytes()
+        for u, o in zip(ditter_unitaries(table), objs, strict=True):
+            assert u.tobytes() == (fourier_matrix(d) * o.phases.thetas[np.newaxis, :]).tobytes()
+    conjugate = mode == HDDEB_MODE and d > 2  # hdDEB's table rows read X^{d-1}'s labels
+    assert convention is (LabelConvention.CONJUGATE if conjugate else LabelConvention.STANDARD)
 
 
 def test_one_round_builds_one_outcome_table(monkeypatch):
