@@ -109,8 +109,8 @@ class BellOperator:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.coefficient_table(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.coefficient_table(), indent=2)
 
 
 #: hCHSH-d phase tables g[r][s] (Arnault 2012): at the deterministic assignment
@@ -169,6 +169,10 @@ class BasisAssignment:
     alice_generators: tuple[PhaseVector, PhaseVector]
     bob_generators: tuple[PhaseVector, PhaseVector]
 
+    def __post_init__(self):
+        if len({g.d for g in (*self.alice_generators, *self.bob_generators)}) != 1:
+            raise DimensionMismatchError("the four generators must share one dimension")
+
     @property
     def d(self) -> int:
         return self.alice_generators[0].d
@@ -182,11 +186,6 @@ class BasisAssignment:
     def label_convention(self) -> LabelConvention:
         """Every table entry's labels: those of X^{d-1}, i.e. conjugate but at d = 2."""
         return LabelConvention.STANDARD if self.d == 2 else LabelConvention.CONJUGATE
-
-    @cached_property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's (d, d, d) stacks of observable matrices, in table order."""
-        return tuple(observable_matrices(t, self.label_convention) for t in self.phase_tables)
 
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
@@ -230,16 +229,14 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
     return exponent_basis(d, (0, 1, 0, 1), theta)
 
 
-def monomial_observables(
-    t: BellOperator | BellMonomial, basis: BasisAssignment
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's (n, d, d) factor matrices of t's n monomials (a lone
-    monomial: n = 1), gathered from the basis assignment's stacks at m.basis_pair."""
-    t = BellOperator(basis.d, (t,)) if isinstance(t, BellMonomial) else t
+def monomial_observables(t: BellOperator, basis: BasisAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's (n, d, d) factor matrices of t's n monomials: each party's
+    (d, d, d) stack of observable matrices, built from its phase table, gathered
+    at m.basis_pair."""
     if t.d != basis.d:
         raise DimensionMismatchError("operator and basis dimensions differ")
-    (a, b), (alice, bob) = t.basis_pairs, basis.matrices
-    return alice[a], bob[b]
+    return tuple(observable_matrices(table, basis.label_convention)[index]
+                 for table, index in zip(basis.phase_tables, t.basis_pairs))
 
 
 BLOCK_ENTRIES = 2**16  # complex entries of the A (x) B stack violation forms at once: 1 MiB
@@ -300,6 +297,13 @@ def assignment_candidates(d: int, theta: complex | None = None):
     ]
 
 
+def _best(state: EntangledState, t: BellOperator, bases) -> tuple[int, float]:
+    """Index and violation of the first of the bases with the largest violation."""
+    vs = np.array([violation(state, t, basis) for basis in bases])
+    i = int(np.argmax(vs))
+    return i, float(vs[i])
+
+
 def optimize_basis(
     state: EntangledState,
     t: BellOperator,
@@ -314,38 +318,24 @@ def optimize_basis(
     and scanning theta moves off them (see theta_scan for the exploratory
     search).
     """
-    best_v = -np.inf
-    best_basis = None
-    for basis in assignment_candidates(t.d, theta):
-        v = violation(state, t, basis)
-        if v > best_v:
-            best_v, best_basis = v, basis
-    return best_basis, float(best_v)
+    candidates = assignment_candidates(t.d, theta)
+    i, v = _best(state, t, candidates)
+    return candidates[i], v
 
 
 def theta_scan(
-    state: EntangledState,
-    t: BellOperator,
-    exponents: tuple[int, int, int, int] = CANONICAL_EXPONENTS,
-    num_points: int = 10_000,
-    refine: bool = True,
+    state: EntangledState, t: BellOperator, num_points: int = 10_000
 ) -> tuple[complex, float]:
-    """Grid-scan the base phase over the unit circle for a fixed assignment.
+    """Grid-scan the base phase of the canonical assignment over the unit circle.
 
     Returns (best theta, best violation).  Deterministic given num_points; one
     local refinement pass at 10x resolution around the coarse optimum.
     """
     def scan(phis):
-        vs = np.array(
-            [violation(state, t, exponent_basis(t.d, exponents, np.exp(1j * p)))
-             for p in phis]
-        )
-        i = int(np.argmax(vs))
-        return phis[i], float(vs[i])
+        i, v = _best(state, t, (canonical_basis(t.d, np.exp(1j * p)) for p in phis))
+        return phis[i], v
 
-    coarse = np.linspace(0.0, 2 * np.pi, num_points, endpoint=False)
-    phi, v = scan(coarse)
-    if refine:
-        step = 2 * np.pi / num_points
-        phi, v = scan(np.linspace(phi - step, phi + step, 21))
+    phi, _ = scan(np.linspace(0.0, 2 * np.pi, num_points, endpoint=False))
+    step = 2 * np.pi / num_points
+    phi, v = scan(np.linspace(phi - step, phi + step, 21))
     return complex(np.exp(1j * phi)), v

@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
     d = args.d
     if not 1 <= args.rounds <= MAX_ROUNDS:
         raise ValidationError(f"--rounds must be in [1, {MAX_ROUNDS}], got {args.rounds}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     state = parse_state(args.state, d)
     config = protocol.ProtocolConfig(
         d=d,
@@ -303,7 +305,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_security(args) -> int:
-    ds = [int(x) for x in args.d_list.split(",")] if args.d_list else [3, 4, 5]
+    try:
+        ds = [int(x) for x in args.d_list.split(",")] if args.d_list else [3, 4, 5]
+    except ValueError:
+        raise ValidationError(
+            f"--d-list must be comma-separated integers, got {args.d_list!r}"
+        ) from None
     repeated = [d for i, d in enumerate(ds) if d in ds[:i]]
     if repeated:
         raise ValidationError(f"--d-list repeats d = {repeated[0]}")

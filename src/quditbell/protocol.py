@@ -77,8 +77,8 @@ class ProtocolConfig:
 
     @property
     def num_bases(self) -> int:
-        """d bases per party in hdDEB mode, 4 in NDEB mode."""
-        return self.d if self.mode == HDDEB_MODE else 4
+        """Bases per party: the rows of Alice's settings table."""
+        return len(self.settings[0])
 
     @cached_property
     def basis(self):
@@ -88,13 +88,13 @@ class ProtocolConfig:
     @cached_property
     def settings(self) -> tuple[np.ndarray, np.ndarray, LabelConvention]:
         """Alice's and Bob's (bases, d) phase tables, row a the phases of basis
-        a's ditter, and their detectors' label convention.  NDEB: geometric bases,
-        Bob's in the conjugate family, so matched bases give k + k' = 0 mod d."""
+        a's ditter, and their detectors' label convention.  NDEB: 4 geometric
+        bases, Bob's in the conjugate family, so matched bases give k + k' = 0 mod d."""
         if self.mode == HDDEB_MODE:
             return (*self.basis.phase_tables, self.basis.label_convention)
         theta = self.theta if self.theta is not None else reference_theta(self.d)
         alice, bob = (np.array([geometric_phases(self.d, theta, a, sign).thetas
-                                for a in range(self.num_bases)]) for sign in (+1, -1))
+                                for a in range(4)]) for sign in (+1, -1))
         return alice, bob, LabelConvention.STANDARD
 
 
@@ -202,8 +202,8 @@ class TranscriptSummary:
             },
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def sample_rounds(config: ProtocolConfig) -> Transcript:

@@ -131,24 +131,19 @@ def comparison_report(d: int) -> SecurityReport:
     )
 
 
-def criterion_table(ds=(3, 4, 5, 6, 7, 8, 9, math.inf)) -> dict:
-    """The v < (d-1)/(d F_A - 1) bound for each requested dimension."""
-    rows = []
-    for d in ds:
-        rows.append(
-            {
-                "d": "inf" if d == math.inf else int(d),
-                "cloner_fidelity": CLONER_FIDELITY[d],
-                "criterion": security_criterion(d),
-            }
-        )
-    return {"rows": rows}
+def criterion_table() -> dict:
+    """The v < (d-1)/(d F_A - 1) bound for each dimension in CLONER_FIDELITY."""
+    return {"rows": [
+        {"d": "inf" if d == math.inf else int(d), "cloner_fidelity": fidelity,
+         "criterion": security_criterion(d)}
+        for d, fidelity in CLONER_FIDELITY.items()
+    ]}
 
 
-def criterion_table_text(ds=(3, 4, 5, 6, 7, 8, 9, math.inf)) -> str:
+def criterion_table_text() -> str:
     """Aligned-text rendering of the criterion table (4 decimals)."""
     lines = [f"{'d':>4}  {'F_A':>8}  {'criterion':>10}"]
-    for row in criterion_table(ds)["rows"]:
+    for row in criterion_table()["rows"]:
         lines.append(
             f"{str(row['d']):>4}  {row['cloner_fidelity']:>8.4f}  "
             f"v < {row['criterion']:.4f}"

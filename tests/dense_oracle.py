@@ -6,12 +6,23 @@ the Bell operator off it by the trace, independently of that shortcut.
 ``kron_violation`` is the np.kron loop that ``bell.violation`` must match bit
 for bit, and ``observable_table_loop`` the one-observable-at-a-time table
 build that a basis assignment's stacked phase tables and matrices must match
-byte for byte.  ``observables`` and ``ndeb_observables`` give the settings of
-both protocol modes as one DitterObservable per basis.
+byte for byte.  ``optimize_basis_loop`` and ``theta_scan_two_pass`` are the
+basis searches as separate loops, which ``optimize_basis`` and ``theta_scan``
+must match in the value and in the basis chosen.  ``observables`` and
+``ndeb_observables`` give the settings of both protocol modes as one
+DitterObservable per basis.
 """
 import numpy as np
 
-from quditbell.bell import classical_norm, reference_theta, rotation_phase
+from quditbell.bell import (
+    CANONICAL_EXPONENTS,
+    assignment_candidates,
+    classical_norm,
+    exponent_basis,
+    reference_theta,
+    rotation_phase,
+    violation,
+)
 from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
 
 
@@ -101,3 +112,31 @@ def observable_table_loop(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
                         for a in range(1, d - 1)), y.thetas]
     conjugate = d - 1 != 1
     return np.array(rows), np.array([_observable_matrix(r, conjugate) for r in rows]), conjugate
+
+
+def optimize_basis_loop(state, t, theta=None):
+    """(basis, v) of the first candidate whose violation beats every earlier one."""
+    best_v = -np.inf
+    best_basis = None
+    for basis in assignment_candidates(t.d, theta):
+        v = violation(state, t, basis)
+        if v > best_v:
+            best_v, best_basis = v, basis
+    return best_basis, float(best_v)
+
+
+def theta_scan_two_pass(state, t, num_points: int) -> tuple[complex, float]:
+    """(theta, v) of the canonical exponents' best grid phase, then of the best
+    of 21 phases spanning one grid step either side of it."""
+    def scan(phis):
+        vs = np.array(
+            [violation(state, t, exponent_basis(t.d, CANONICAL_EXPONENTS, np.exp(1j * p)))
+             for p in phis]
+        )
+        i = int(np.argmax(vs))
+        return phis[i], float(vs[i])
+
+    phi, v = scan(np.linspace(0.0, 2 * np.pi, num_points, endpoint=False))
+    step = 2 * np.pi / num_points
+    phi, v = scan(np.linspace(phi - step, phi + step, 21))
+    return complex(np.exp(1j * phi)), v

@@ -20,6 +20,7 @@ from quditbell.algebra import (
 )
 from quditbell.bell import (
     BUILTIN_POLYS,
+    BasisAssignment,
     BellMonomial,
     BellOperator,
     assignment_candidates,
@@ -33,9 +34,12 @@ from quditbell.bell import (
     phase_table_polys,
     protocol_basis,
     rotation_phase,
+    theta_scan,
     violation,
 )
-from quditbell.ditter import LabelConvention, outcome_distribution
+from quditbell.ditter import (
+    LabelConvention, geometric_phases, observable_matrices, outcome_distribution
+)
 
 from dense_oracle import (
     bell_matrix,
@@ -45,6 +49,8 @@ from dense_oracle import (
     noisy_density,
     observable_table_loop,
     observables,
+    optimize_basis_loop,
+    theta_scan_two_pass,
 )
 
 STATES = {3: psi3, 4: psi4, 5: psi5}
@@ -126,19 +132,13 @@ def test_operator_homogeneity_enforced():
         BellOperator(3, (BellMonomial((1, 0), (2, 0), 1.0),))
 
 
-@pytest.mark.parametrize("alice,bob", [((3, -1), (2, 0)), ((2, 0), (-1, 3))])
+@pytest.mark.parametrize(
+    "alice,bob",
+    [((3, -1), (2, 0)), ((2, 0), (-1, 3)), ((1, 0), (2, 0)), ((2, 0), (1, 2))],
+)
 def test_operator_rejects_negative_exponents(alice, bob):
     with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
         BellOperator(3, (BellMonomial(alice, bob, 1.0),))
-
-
-@pytest.mark.parametrize(
-    "alice,bob",
-    [((1, 0), (2, 0)), ((2, 0), (1, 2)), ((3, -1), (2, 0)), ((2, 0), (-1, 3))],
-)
-def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
-    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
-        monomial_observables(BellMonomial(alice, bob, 1.0), canonical_basis(3))
 
 
 def test_monomial_observables_gathers_each_monomials_factor_matrices():
@@ -149,10 +149,43 @@ def test_monomial_observables_gathers_each_monomials_factor_matrices():
     for m, a, b in zip(t.monomials, alice, bob, strict=True):
         a_obs, b_obs = factors(m, basis)
         assert (a.tobytes(), b.tobytes()) == (a_obs.matrix.tobytes(), b_obs.matrix.tobytes())
-    lone = monomial_observables(t.monomials[3], basis)
-    assert [x.tobytes() for x in lone] == [alice[3:4].tobytes(), bob[3:4].tobytes()]
     with pytest.raises(DimensionMismatchError):
         monomial_observables(t, canonical_basis(3))
+
+
+@pytest.mark.parametrize(
+    "alice_dims,bob_dims",
+    [((3, 3), (4, 4)), ((3, 3), (5, 5)), ((4, 4), (3, 3)), ((3, 4), (3, 3)), ((3, 3), (3, 4))],
+    ids=["bob-4", "bob-5", "bob-3", "alice-split", "bob-split"],
+)
+def test_basis_assignment_rejects_generators_of_different_dimensions(alice_dims, bob_dims):
+    """With all-ones generators at theta = 1, Alice at d = 3 and Bob at d = 4 or 5
+    once gave violation(psi3(), builtin_operator(3), basis) = +-0.2222 without error."""
+    ones = {d: geometric_phases(d, 1, 0) for d in (3, 4, 5)}
+    with pytest.raises(DimensionMismatchError, match="share one dimension"):
+        BasisAssignment(1, tuple(ones[d] for d in alice_dims), tuple(ones[d] for d in bob_dims))
+
+
+def generator_bytes(basis) -> bytes:
+    return b"".join(g.thetas.tobytes() for g in (*basis.alice_generators, *basis.bob_generators))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_basis_searches_equal_their_loops(d):
+    """optimize_basis and theta_scan choose the basis that the separate loops of
+    tests/dense_oracle.py choose (the first of equal maxima), with v to the bit."""
+    t = builtin_operator(d)
+    rng = np.random.default_rng(d)
+    states = [STATES[d](), maximally_entangled(d),
+              make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))]
+    for state in states:
+        for theta in (None, np.exp(0.7j), np.exp(-2.3j)):
+            basis, v = optimize_basis(state, t, theta)
+            basis_loop, v_loop = optimize_basis_loop(state, t, theta)
+            assert (v, generator_bytes(basis)) == (v_loop, generator_bytes(basis_loop))
+        for num_points in (1, 2, 7, 40):
+            assert theta_scan(state, t, num_points=num_points) == theta_scan_two_pass(
+                state, t, num_points)
 
 
 def test_violation_builds_each_observable_table_once(monkeypatch):
@@ -342,7 +375,8 @@ def test_stacked_tables_equal_loop_bytes(d, data):
     basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
     generators = (basis.alice_generators, basis.bob_generators)
     for party in (0, 1):
-        table, matrices = basis.phase_tables[party], basis.matrices[party]
+        table = basis.phase_tables[party]
+        matrices = observable_matrices(table, basis.label_convention)
         table_loop, matrices_loop, conjugate = observable_table_loop(*generators[party])
         assert table.shape == (d, d) and matrices.shape == (d, d, d)
         assert table.tobytes() == table_loop.tobytes()

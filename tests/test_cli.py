@@ -218,6 +218,21 @@ def test_security_rejects_repeated_dimension(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize("d_list", ["3,x", "3,,4", "4.0", "3;5"])
+def test_security_non_integer_d_list_exits_2(d_list, to_file, tmp_path, monkeypatch, capsys):
+    from quditbell import security
+
+    monkeypatch.setattr(security, "comparison_report", pytest.fail)  # rejected before any work
+    out_path = tmp_path / "s.json"
+    code, out, err = run_cli(capsys, "security", "--d-list", d_list, "--format", "json",
+                             *(["--out", str(out_path)] if to_file else []))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --d-list must be comma-separated integers, got {d_list!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lhv_pass(capsys):
     for d in ("3", "4"):
         code, out, _ = run_cli(capsys, "lhv", "--d", d)
@@ -405,6 +420,21 @@ def test_simulate_rounds_out_of_range_exits_2(rounds, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: --rounds must be in [1, {cli.MAX_ROUNDS}], got {rounds}\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_simulate_negative_seed_exits_2(seed, fmt, to_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(protocol, "sample_rounds", pytest.fail)  # rejected before any work
+    code, out, err = run_cli(
+        capsys, "simulate", "--d", "3", "--rounds", "20", "--seed", str(seed), "--format", fmt,
+        "--transcript", str(tmp_path / "t.csv"), *(["--out", str(tmp_path / "o")] if to_file else []),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --seed must be a non-negative integer, got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_csv_format_with_transcript_file(tmp_path, capsys):
