@@ -132,13 +132,21 @@ def test_operator_homogeneity_enforced():
         BellOperator(3, (BellMonomial((1, 0), (2, 0), 1.0),))
 
 
-@pytest.mark.parametrize(
-    "alice,bob",
-    [((3, -1), (2, 0)), ((2, 0), (-1, 3)), ((1, 0), (2, 0)), ((2, 0), (1, 2))],
-)
+@pytest.mark.parametrize("alice,bob", [((3, -1), (2, 0)), ((2, 0), (-1, 3))])
 def test_operator_rejects_negative_exponents(alice, bob):
     with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
         BellOperator(3, (BellMonomial(alice, bob, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "alice,bob",
+    [((1, 0), (2, 0)), ((2, 0), (1, 2)), ((3, -1), (2, 0)), ((2, 0), (-1, 3))],
+)
+def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
+    """monomial_observables takes only a BellOperator, and the operator refuses a
+    monomial whose exponents are negative or do not sum to 2, so none reaches it."""
+    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
+        monomial_observables(BellOperator(3, (BellMonomial(alice, bob, 1.0),)), canonical_basis(3))
 
 
 def test_monomial_observables_gathers_each_monomials_factor_matrices():
