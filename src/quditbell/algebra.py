@@ -40,9 +40,11 @@ def roots_of_unity(d: int) -> np.ndarray:
 def complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise x * y rounded as Python's complex multiply rounds it;
     numpy's complex multiply can differ from it in the last bit."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    real = xr * yr - xi * yi
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = xr * yi + xi * yr
     return out
 
 

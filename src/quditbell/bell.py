@@ -30,6 +30,7 @@ from .algebra import (
     DimensionMismatchError,
     EntangledState,
     InvalidDimensionError,
+    complex_product,
     omega,
     roots_of_unity,
 )
@@ -94,6 +95,10 @@ class BellOperator:
     def basis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Alice's and Bob's table index (m.basis_pair) of every monomial, in order."""
         return tuple(np.array([m.basis_pair for m in self.monomials], np.intp).reshape(-1, 2).T)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return np.array([m.coefficient for m in self.monomials], dtype=complex)
 
     def coefficient_table(self) -> dict:
         """JSON-friendly coefficient listing for audit."""
@@ -161,9 +166,15 @@ def builtin_operator(d: int) -> BellOperator:
     return BellOperator(d, monomials)
 
 
+def table_convention(d: int) -> LabelConvention:
+    """Every party-table entry's labels: those of X^{d-1}, i.e. conjugate but at d = 2."""
+    return LabelConvention.STANDARD if d == 2 else LabelConvention.CONJUGATE
+
+
 @dataclass(frozen=True)
 class BasisAssignment:
-    """Which phase vectors realize the four Bell variables A1, A2, B1, B2."""
+    """Which phase vectors realize the four Bell variables A1, A2, B1, B2; stacked
+    generators (and an array theta) make it a stack of assignments."""
 
     theta: complex
     alice_generators: tuple[PhaseVector, PhaseVector]
@@ -179,13 +190,12 @@ class BasisAssignment:
 
     @cached_property
     def phase_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's (d, d) tables; row a is the phase vector of X1^{d-1-a} X2^a."""
+        """Alice's and Bob's (..., d, d) tables; row a is the phase vector of X1^{d-1-a} X2^a."""
         return party_phase_table(*self.alice_generators), party_phase_table(*self.bob_generators)
 
     @property
     def label_convention(self) -> LabelConvention:
-        """Every table entry's labels: those of X^{d-1}, i.e. conjugate but at d = 2."""
-        return LabelConvention.STANDARD if self.d == 2 else LabelConvention.CONJUGATE
+        return table_convention(self.d)
 
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
@@ -194,25 +204,17 @@ class BasisAssignment:
 CANONICAL_EXPONENTS = (0, 2, -1, 1)
 
 
-def exponent_basis(
-    d: int,
-    exponents: tuple[int, int, int, int],
-    theta: complex | None = None,
-) -> BasisAssignment:
-    """Geometric-phase basis assignment from four integer exponents."""
+def exponent_basis(d: int, exponents: tuple[int, int, int, int],
+                   theta: complex | None = None) -> BasisAssignment:
+    """Geometric-phase basis assignment from four integer exponents; an array of
+    base phases gives the stack of their assignments."""
     if theta is None:
         theta = reference_theta(d)
     a1, a2, b1, b2 = exponents
     return BasisAssignment(
-        theta=complex(theta),
-        alice_generators=(
-            geometric_phases(d, theta, a1, +1),
-            geometric_phases(d, theta, a2, +1),
-        ),
-        bob_generators=(
-            geometric_phases(d, theta, b1, -1),
-            geometric_phases(d, theta, b2, -1),
-        ),
+        theta=theta,
+        alice_generators=(geometric_phases(d, theta, a1), geometric_phases(d, theta, a2)),
+        bob_generators=(geometric_phases(d, theta, b1, -1), geometric_phases(d, theta, b2, -1)),
     )
 
 
@@ -229,37 +231,48 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
     return exponent_basis(d, (0, 1, 0, 1), theta)
 
 
-def monomial_observables(t: BellOperator, basis: BasisAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's (n, d, d) factor matrices of t's n monomials: each party's
-    (d, d, d) stack of observable matrices, built from its phase table, gathered
-    at m.basis_pair."""
-    if t.d != basis.d:
-        raise DimensionMismatchError("operator and basis dimensions differ")
-    return tuple(observable_matrices(table, basis.label_convention)[index]
-                 for table, index in zip(basis.phase_tables, t.basis_pairs))
+def monomial_observables(t: BellOperator, alice: np.ndarray, bob: np.ndarray,
+                         slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's factor matrices of the given slices of a basis stack held as
+    (n, d, d) phase tables: slice s is monomial s % len(t.monomials) of basis
+    s // len(t.monomials), read at table rows m.basis_pair."""
+    basis, monomial = np.divmod(slices, len(t.monomials))
+    ia, ib = t.basis_pairs
+    rows = np.concatenate([alice[basis, ia[monomial]], bob[basis, ib[monomial]]])
+    matrices = observable_matrices(rows, table_convention(t.d))
+    return matrices[:len(slices)], matrices[len(slices):]
 
 
-BLOCK_ENTRIES = 2**16  # complex entries of the A (x) B stack violation forms at once: 1 MiB
+BLOCK_ENTRIES = 2**15  # complex entries of the A (x) B stack evaluated at once: 512 KiB
+
+
+def violation_stack(state: EntangledState, t: BellOperator, alice: np.ndarray,
+                    bob: np.ndarray) -> np.ndarray:
+    """violation() of n bases held as (n, d, d) phase tables, with the np.kron loop's
+    float bits: per block of (basis, monomial) slices np.kron's multiply, per slice
+    the zgemv and dot of <v|A (x) B|v>, per basis Python's complex arithmetic."""
+    d, m = t.d, len(t.monomials)
+    if state.d != d or alice.shape[1:] != (d, d) or bob.shape != alice.shape:
+        raise DimensionMismatchError("state, operator, and basis dimensions differ")
+    v, step, n = state.vector, max(1, BLOCK_ENTRIES // d**4), len(alice) * m
+    vc, expectations = v.conj(), np.empty(n, dtype=complex)
+    for lo in range(0, n, step):
+        a, b = monomial_observables(t, alice, bob, np.arange(lo, min(lo + step, n)))
+        w = vc @ np.multiply(  # the block's A (x) B stack lives only for this zgemv
+            a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
+        expectations[lo:lo + step] = (w[:, None, :] @ v[:, None])[:, 0, 0]
+    terms = np.zeros((len(alice), m + 1), dtype=complex)  # column 0: the 0j a sum starts at
+    terms[:, 1:] = complex_product(t.coefficients, expectations.reshape(len(alice), m))
+    total = np.add.accumulate(terms, axis=1)[:, -1]
+    rotation = rotation_phase(d)  # the real part of Python's complex product
+    return (rotation.real * total.real - rotation.imag * total.imag) / classical_norm(d)
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
     """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))
-    of a pure state; isotropic noise N scales it by (1 - N).  Per block of monomials,
-    np.kron's multiply, then per slice the zgemv and dot of <v|A (x) B|v>."""
-    d = t.d
-    if state.d != d or basis.d != d:
-        raise DimensionMismatchError("state, operator, and basis dimensions differ")
-    v, step = state.vector, max(1, BLOCK_ENTRIES // d**4)
-    alice, bob = monomial_observables(t, basis)
-    total = 0j
-    for lo in range(0, len(t.monomials), step):
-        a, b = alice[lo:lo + step], bob[lo:lo + step]
-        w = v.conj() @ np.multiply(  # the block's A (x) B stack lives only for this zgemv
-            a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
-        expectations = (w[:, None, :] @ v[:, None])[:, 0, 0]
-        for m, e in zip(t.monomials[lo:lo + step], expectations.tolist()):
-            total += m.coefficient * e
-    return float((rotation_phase(d) * total).real / classical_norm(d))
+    of a pure state; isotropic noise N scales it by (1 - N)."""
+    alice, bob = basis.phase_tables
+    return float(violation_stack(state, t, alice[np.newaxis], bob[np.newaxis])[0])
 
 
 LHV_MAX_DIMENSION = 6
@@ -297,18 +310,14 @@ def assignment_candidates(d: int, theta: complex | None = None):
     ]
 
 
-def _best(state: EntangledState, t: BellOperator, bases) -> tuple[int, float]:
-    """Index and violation of the first of the bases with the largest violation."""
-    vs = np.array([violation(state, t, basis) for basis in bases])
+def _best(vs: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first of the largest violations."""
     i = int(np.argmax(vs))
     return i, float(vs[i])
 
 
-def optimize_basis(
-    state: EntangledState,
-    t: BellOperator,
-    theta: complex | None = None,
-) -> tuple[BasisAssignment, float]:
+def optimize_basis(state: EntangledState, t: BellOperator,
+                   theta: complex | None = None) -> tuple[BasisAssignment, float]:
     """Best basis assignment for the given state and operator.
 
     Searches the discrete set of generator-to-variable assignments at the
@@ -319,7 +328,7 @@ def optimize_basis(
     search).
     """
     candidates = assignment_candidates(t.d, theta)
-    i, v = _best(state, t, candidates)
+    i, v = _best(np.array([violation(state, t, basis) for basis in candidates]))
     return candidates[i], v
 
 
@@ -328,11 +337,15 @@ def theta_scan(
 ) -> tuple[complex, float]:
     """Grid-scan the base phase of the canonical assignment over the unit circle.
 
-    Returns (best theta, best violation).  Deterministic given num_points; one
-    local refinement pass at 10x resolution around the coarse optimum.
-    """
+    Returns (best theta, best violation): the first best of num_points phases, then
+    of 21 phases spanning one grid step either side of it.  The grid is evaluated as
+    canonical_basis stacks of BLOCK_ENTRIES // d^4 phases, bit-equal to violation()."""
+    chunk = max(1, BLOCK_ENTRIES // t.d**4)
+
     def scan(phis):
-        i, v = _best(state, t, (canonical_basis(t.d, np.exp(1j * p)) for p in phis))
+        bases = (canonical_basis(t.d, np.exp(1j * phis[lo:lo + chunk]))
+                 for lo in range(0, len(phis), chunk))
+        i, v = _best(np.concatenate([violation_stack(state, t, *b.phase_tables) for b in bases]))
         return phis[i], v
 
     phi, _ = scan(np.linspace(0.0, 2 * np.pi, num_points, endpoint=False))

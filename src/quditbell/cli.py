@@ -306,7 +306,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_security(args) -> int:
     try:
-        ds = [int(x) for x in args.d_list.split(",")] if args.d_list else [3, 4, 5]
+        ds = [int(x) for x in args.d_list.split(",")] if args.d_list is not None else [3, 4, 5]
     except ValueError:
         raise ValidationError(
             f"--d-list must be comma-separated integers, got {args.d_list!r}"
@@ -319,11 +319,7 @@ def cmd_security(args) -> int:
     result = {"criterion_table": table, "comparisons": [r.to_dict() for r in reports]}
 
     def render(r):
-        parts = [security.criterion_table_text()]
-        if reports:
-            parts.append("")
-            parts.append(security.comparison_table_text(reports))
-        return "\n".join(parts)
+        return f"{security.criterion_table_text()}\n\n{security.comparison_table_text(reports)}"
 
     _emit("security", _params(args, ["d_list"]), result, args, render)
     return EXIT_OK

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,14 +41,14 @@ class ExponentConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseVector:
-    """d-tuple of unit-modulus phase shifts parameterizing one ditter."""
+    """d-tuple of unit-modulus phase shifts parameterizing one ditter, or (..., d) stacked."""
 
     d: int
     thetas: np.ndarray
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=complex)
-        if thetas.shape != (self.d,):
+        if thetas.shape[-1:] != (self.d,):
             raise DimensionMismatchError(
                 f"expected {self.d} phases, got shape {thetas.shape}"
             )
@@ -111,12 +111,13 @@ def ditter_observable(phases: PhaseVector) -> DitterObservable:
     return DitterObservable(phases, LabelConvention.STANDARD)
 
 
-def geometric_phases(d: int, base: complex, a: int, sign: int = 1) -> PhaseVector:
+def geometric_phases(d: int, base: complex | np.ndarray, a: int, sign: int = 1) -> PhaseVector:
     """Phase vector (1, theta^a, theta^{2a}, ..) with theta = base, or its
-    conjugate family for sign = -1."""
-    if not abs(abs(base) - 1.0) <= PHASE_TOL:  # NaN fails too
+    conjugate family for sign = -1; an array of bases gives their stack."""
+    base = np.asarray(base, dtype=complex)
+    if not (abs(abs(base) - 1.0) <= PHASE_TOL).all():  # NaN fails too
         raise InvalidPhaseError(f"base phase must be unit modulus, got |{base}|")
-    return PhaseVector(d, np.asarray(base, dtype=complex) ** (sign * a * np.arange(d)))
+    return PhaseVector(d, base[..., np.newaxis] ** (sign * a * np.arange(d)))
 
 
 def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> PhaseVector:
@@ -130,27 +131,35 @@ def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> Phas
         raise ExponentConstraintError(
             f"need 1 <= i <= {d - 2} and i + j = {d - 1}, got (i, j) = ({i}, {j})"
         )
-    return PhaseVector(d, party_phase_table(theta, lam)[j])
+    return PhaseVector(d, party_phase_table(theta, lam)[..., j, :])
 
 
 def party_phase_table(x: PhaseVector, y: PhaseVector) -> np.ndarray:
-    """(d, d) table, row a the phase vector of X^{d-1-a} Y^a: X and Y at a = 0, d-1,
-    else gamma above (i = d-1-a) from running products of the shifted generators."""
+    """(..., d, d) table(s), row a the phase vector of X^{d-1-a} Y^a: X and Y at
+    a = 0, d-1, else gamma above (i = d-1-a) from running products of the shifted
+    generators."""
     if y.d != x.d:
         raise DimensionMismatchError("phase vectors have different dimensions")
-    d, k = x.d, np.arange(x.d)
-    cx, cy = (g.thetas[(k[:, np.newaxis] + k) % d].cumprod(axis=1) for g in (x, y))
-    i = d - 1 - k[1:-1, np.newaxis]
-    mixed = complex_product(cx[k, d - 1 - i], cy[(k - i) % d, i])
-    return np.concatenate([x.thetas[np.newaxis], mixed, y.thetas[np.newaxis]])
+    shifts, (kx, jx), (ky, jy) = _indices(x.d)
+    cx, cy = x.thetas[..., shifts].cumprod(axis=-1), y.thetas[..., shifts].cumprod(axis=-1)
+    mixed = complex_product(cx[..., kx, jx], cy[..., ky, jy])
+    return np.concatenate([x.thetas[..., None, :], mixed, y.thetas[..., None, :]], axis=-2)
+
+
+@cache
+def _indices(d: int) -> tuple:
+    """Index arrays at dimension d: the cyclic shifts (row s holds k + s mod d), then
+    where party_phase_table's mixed rows read X's and Y's running products."""
+    k, i = np.arange(d), np.arange(d - 2, 0, -1)[:, np.newaxis]  # i = d-1-a, a = 1..d-2
+    return (k[:, np.newaxis] + k) % d, (k, d - 1 - i), ((k - i) % d, i)
 
 
 def observable_matrices(thetas: np.ndarray, convention: LabelConvention) -> np.ndarray:
     """(n, d, d) stack of Z_Theta, or Z_Theta^dag if CONJUGATE, one per row of thetas."""
     n, d = thetas.shape
-    k = np.arange(d)
+    k, up = _indices(d)[0][:2]
     z = np.zeros((n, d, d), dtype=complex)
-    z[:, (k + 1) % d, k] = thetas * thetas[:, (k + 1) % d].conj()
+    z[:, up, k] = thetas * thetas[:, up].conj()
     return z.conj().transpose(0, 2, 1) if convention is LabelConvention.CONJUGATE else z
 
 

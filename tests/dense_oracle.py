@@ -3,14 +3,15 @@
 The library represents isotropic noise N as a (1 - N) weight on a pure
 Schmidt state.  These helpers build the noisy density matrix itself and read
 the Bell operator off it by the trace, independently of that shortcut.
-``kron_violation`` is the np.kron loop that ``bell.violation`` must match bit
-for bit, and ``observable_table_loop`` the one-observable-at-a-time table
-build that a basis assignment's stacked phase tables and matrices must match
-byte for byte.  ``optimize_basis_loop`` and ``theta_scan_two_pass`` are the
-basis searches as separate loops, which ``optimize_basis`` and ``theta_scan``
-must match in the value and in the basis chosen.  ``observables`` and
-``ndeb_observables`` give the settings of both protocol modes as one
-DitterObservable per basis.
+``kron_violation`` is the np.kron loop that ``bell.violation`` and each v of
+``bell.violation_stack`` must match bit for bit, and ``observable_table_loop``
+the one-observable-at-a-time table build that a basis assignment's stacked
+phase tables and matrices must match byte for byte.  ``optimize_basis_loop``
+and ``theta_scan_two_pass`` are the basis searches as separate loops over
+``kron_violation``, one basis at a time, which ``optimize_basis`` and
+``theta_scan`` must match in the value and in the basis chosen.
+``observables`` and ``ndeb_observables`` give the settings of both protocol
+modes as one DitterObservable per basis.
 """
 import numpy as np
 
@@ -21,7 +22,6 @@ from quditbell.bell import (
     exponent_basis,
     reference_theta,
     rotation_phase,
-    violation,
 )
 from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
 
@@ -119,7 +119,7 @@ def optimize_basis_loop(state, t, theta=None):
     best_v = -np.inf
     best_basis = None
     for basis in assignment_candidates(t.d, theta):
-        v = violation(state, t, basis)
+        v = kron_violation(state, t, basis)
         if v > best_v:
             best_v, best_basis = v, basis
     return best_basis, float(best_v)
@@ -130,7 +130,7 @@ def theta_scan_two_pass(state, t, num_points: int) -> tuple[complex, float]:
     of 21 phases spanning one grid step either side of it."""
     def scan(phis):
         vs = np.array(
-            [violation(state, t, exponent_basis(t.d, CANONICAL_EXPONENTS, np.exp(1j * p)))
+            [kron_violation(state, t, exponent_basis(t.d, CANONICAL_EXPONENTS, np.exp(1j * p)))
              for p in phis]
         )
         i = int(np.argmax(vs))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from quditbell.bell import (
     rotation_phase,
     theta_scan,
     violation,
+    violation_stack,
 )
 from quditbell.ditter import (
     LabelConvention, geometric_phases, observable_matrices, outcome_distribution
@@ -145,20 +147,30 @@ def test_operator_rejects_negative_exponents(alice, bob):
 def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
     """monomial_observables takes only a BellOperator, and the operator refuses a
     monomial whose exponents are negative or do not sum to 2, so none reaches it."""
+    alice_table, bob_table = canonical_basis(3).phase_tables
     with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
-        monomial_observables(BellOperator(3, (BellMonomial(alice, bob, 1.0),)), canonical_basis(3))
+        monomial_observables(BellOperator(3, (BellMonomial(alice, bob, 1.0),)),
+                             alice_table[None], bob_table[None], np.arange(1))
+
+
+def stacked_tables(bases) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's (len(bases), d, d) phase-table stacks."""
+    return tuple(np.stack(tables) for tables in zip(*(b.phase_tables for b in bases)))
 
 
 def test_monomial_observables_gathers_each_monomials_factor_matrices():
+    """Slice s of a stack of bases is monomial s % n of basis s // n, with the
+    factor matrices of the one-observable-at-a-time objects, byte for byte."""
     d = 4
-    t, basis = builtin_operator(d), canonical_basis(d)
-    alice, bob = monomial_observables(t, basis)
-    assert alice.shape == bob.shape == (len(t.monomials), d, d)
-    for m, a, b in zip(t.monomials, alice, bob, strict=True):
-        a_obs, b_obs = factors(m, basis)
+    t, bases = builtin_operator(d), [canonical_basis(d), protocol_basis(d)]
+    n = len(t.monomials)
+    alice, bob = monomial_observables(t, *stacked_tables(bases), np.arange(3, 2 * n))
+    assert alice.shape == bob.shape == (2 * n - 3, d, d)
+    for s, a, b in zip(range(3, 2 * n), alice, bob, strict=True):
+        a_obs, b_obs = factors(t.monomials[s % n], bases[s // n])
         assert (a.tobytes(), b.tobytes()) == (a_obs.matrix.tobytes(), b_obs.matrix.tobytes())
     with pytest.raises(DimensionMismatchError):
-        monomial_observables(t, canonical_basis(3))
+        violation_stack(psi4(), t, *stacked_tables([canonical_basis(3)]))
 
 
 @pytest.mark.parametrize(
@@ -349,23 +361,37 @@ def test_exponent_basis_structure():
     assert np.allclose(basis.bob_generators[1].thetas, theta ** (-np.arange(3)))
 
 
-@pytest.mark.parametrize("d", range(2, 10))
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(data=st.data())
-def test_violation_equals_kron_route_exactly(d, data):
-    """Not a tolerance: violation() must give the kron loop's float bits."""
+def draw_state(d: int, data):
+    """A Schmidt state with drawn moduli (some zero) and phases."""
     moduli = data.draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=d, max_size=d))
     moduli[0] = moduli[0] or 1.0
     angles = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=d, max_size=d))
-    state = make_state(d, np.array(moduli) * np.exp(1j * np.array(angles)))
+    return make_state(d, np.array(moduli) * np.exp(1j * np.array(angles)))
+
+
+def draw_basis(d: int, data) -> BasisAssignment:
+    """A geometric basis of drawn exponents at a drawn base phase."""
     exponents = data.draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
-    basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
+    return exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
+
+
+def draw_operator(d: int, data) -> BellOperator:
+    """1 to 2d monomials of drawn basis pairs and coefficients."""
     power = st.integers(0, d - 1)
     monomials = data.draw(st.lists(st.builds(
         lambda a, b, re, im: BellMonomial((d - 1 - a, a), (d - 1 - b, b), complex(re, im)),
         power, power, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
     ), min_size=1, max_size=2 * d))
-    t = BellOperator(d, tuple(monomials))
+    return BellOperator(d, tuple(monomials))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_violation_equals_kron_route_exactly(d, data):
+    """Not a tolerance: violation() must give the kron loop's float bits."""
+    state, basis = draw_state(d, data), draw_basis(d, data)
+    t = draw_operator(d, data)
     assert violation(state, t, basis) == kron_violation(state, t, basis)
     if d in BUILTIN_POLYS:
         t = builtin_operator(d)
@@ -396,9 +422,27 @@ def test_stacked_tables_equal_loop_bytes(d, data):
             assert (obs.label_convention is LabelConvention.CONJUGATE) == conjugate
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_violation_stack_equals_kron_route_per_basis(d, data):
+    """Not a tolerance: each v of a stack of 1..4 drawn bases has the bytes of the
+    kron loop's float for that basis alone (a zero's sign included), with blocks
+    of a drawn number of slices (or of bell.BLOCK_ENTRIES entries) that the
+    stack's slices straddle."""
+    state, t = draw_state(d, data), draw_operator(d, data)
+    bases = [draw_basis(d, data) for _ in range(data.draw(st.integers(1, 4)))]
+    slices = len(bases) * len(t.monomials)
+    step = data.draw(st.none() | st.integers(1, max(1, slices - 1)))
+    entries = bell.BLOCK_ENTRIES if step is None else step * d**4
+    with mock.patch.object(bell, "BLOCK_ENTRIES", entries):
+        vs = violation_stack(state, t, *stacked_tables(bases))
+    assert vs.tobytes() == np.array([kron_violation(state, t, b) for b in bases]).tobytes()
+
+
 def test_violation_memory_is_bounded_by_its_block():
     """At d = 9 the 81 Kronecker products would take 8.5 MB at once; the
-    blocks keep the peak near one block of bell.BLOCK_ENTRIES entries (1 MiB)."""
+    blocks keep the peak near one block of bell.BLOCK_ENTRIES entries (512 KiB)."""
     d = 9
     t = BellOperator(d, tuple(
         BellMonomial((d - 1 - a, a), (d - 1 - b, b), 1.0) for a in range(d) for b in range(d)
@@ -412,3 +456,17 @@ def test_violation_memory_is_bounded_by_its_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_theta_scan_memory_does_not_grow_with_the_grid():
+    """theta_scan evaluates its grid as stacks of BLOCK_ENTRIES // d^4 phases, so a
+    10 000-point psi5 scan never holds the whole grid's tables or matrices."""
+    state, t = psi5(), builtin_operator(5)
+    theta_scan(state, t, num_points=40)  # cached index arrays and tables are not counted
+    tracemalloc.start()
+    try:
+        theta_scan(state, t, num_points=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

@@ -219,7 +219,7 @@ def test_security_rejects_repeated_dimension(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
-@pytest.mark.parametrize("d_list", ["3,x", "3,,4", "4.0", "3;5"])
+@pytest.mark.parametrize("d_list", ["3,x", "3,,4", "4.0", "3;5", ""])
 def test_security_non_integer_d_list_exits_2(d_list, to_file, tmp_path, monkeypatch, capsys):
     from quditbell import security
 

@@ -113,6 +113,14 @@ THETA_SCAN_GOLDENS = {
     (psi4, 200): "((0.8924283781237179+0.4511890844418451j), 1.606707215965691)",
 }
 
+# d -> repr of theta_scan(psiD(), builtin_operator(d)) at its default 10 000 points,
+# recorded before the scan evaluated its grid as stacks of bases
+THETA_SCAN_DEFAULT_GOLDENS = {
+    3: "((0.8696259367673307+0.49371118085530785j), 1.5055846065260794)",
+    4: "((0.8920311462569964+0.4519739307829922j), 1.6067160891234296)",
+    5: "((0.9600654814890272+0.27977539429557163j), 1.5897890853747023)",
+}
+
 # d -> sha256 of builtin_operator(d).to_json(), recorded from the hand-typed
 # integer tables that the phase tables replaced
 COEFFICIENT_JSON_GOLDEN = {
@@ -187,6 +195,13 @@ def test_theta_scan_goldens_at_d4_d5(state, num_points):
     d = state().d
     got = repr(theta_scan(state(), builtin_operator(d), num_points=num_points))
     assert got == THETA_SCAN_GOLDENS[(state, num_points)]
+
+
+@on_golden_platform
+@pytest.mark.parametrize("state", [psi3, psi4, psi5], ids=["psi3", "psi4", "psi5"])
+def test_theta_scan_default_size_goldens(state):
+    d = state().d
+    assert repr(theta_scan(state(), builtin_operator(d))) == THETA_SCAN_DEFAULT_GOLDENS[d]
 
 
 @on_golden_platform
