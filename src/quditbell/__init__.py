@@ -32,7 +32,6 @@ from .ditter import (
 )
 from .bell import (
     BasisAssignment,
-    BellMonomial,
     BellOperator,
     builtin_operator,
     canonical_basis,

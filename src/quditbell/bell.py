@@ -1,8 +1,11 @@
 """Homogeneous Bell operators and their violation factors.
 
-A Bell operator here is a polynomial sum_m c_m A1^{i1} A2^{i2} B1^{j1} B2^{j2}
-with i1+i2 = j1+j2 = d-1 (homogeneous of degree d-1 per party).  Under local
-realism, with all four variables taking d-th-root-of-unity values,
+A Bell operator here is a polynomial
+T = sum_{a,b} C[a, b] A1^{d-1-a} A2^a B1^{d-1-b} B2^b, homogeneous of degree
+d-1 per party, held as its (d, d) complex coefficient matrix C.  Entry C[a, b]
+belongs to Alice's setting a and Bob's setting b, the basis pair the protocol
+rounds record, and a zero entry is an absent monomial.
+Under local realism, with all four variables taking d-th-root-of-unity values,
 
     Re( rotation_phase * T ) / (d^2 cos(pi/d)) <= 1,
 
@@ -60,57 +63,40 @@ def classical_norm(d: int) -> float:
     return d * d * np.cos(np.pi / d)
 
 
-@dataclass(frozen=True)
-class BellMonomial:
-    """One term c * A1^{i1} A2^{i2} B1^{j1} B2^{j2} of a Bell operator."""
-
-    alice_exponents: tuple[int, int]
-    bob_exponents: tuple[int, int]
-    coefficient: complex
-
-    @property
-    def basis_pair(self) -> tuple[int, int]:
-        """(a, b) = (A2 power, B2 power): the monomial is read on Alice's a-th
-        and Bob's b-th observable of a basis assignment, the same basis pair
-        the protocol rounds record."""
-        return self.alice_exponents[1], self.bob_exponents[1]
-
-    def check_degree(self, d: int) -> None:
-        """Each party's exponents must be non-negative and sum to d - 1."""
-        for exponents in (self.alice_exponents, self.bob_exponents):
-            if min(exponents) < 0 or sum(exponents) != d - 1:
-                raise ValueError(f"exponents {exponents} must be non-negative and sum to {d - 1}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellOperator:
+    """T = sum_{a,b} C[a, b] A1^{d-1-a} A2^a B1^{d-1-b} B2^b, held as a read-only
+    copy of the (d, d) complex coefficient matrix C; a zero entry is no monomial."""
+
     d: int
-    monomials: tuple[BellMonomial, ...]
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        for m in self.monomials:
-            m.check_degree(self.d)
+        c = np.array(self.coefficients, dtype=complex)
+        if c.shape != (self.d, self.d):
+            raise ValueError(f"coefficients must have shape ({self.d}, {self.d}), not {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
 
-    @cached_property
-    def basis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's table index (m.basis_pair) of every monomial, in order."""
-        return tuple(np.array([m.basis_pair for m in self.monomials], np.intp).reshape(-1, 2).T)
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        return np.array([m.coefficient for m in self.monomials], dtype=complex)
+    def entries(self) -> list[tuple[int, int, complex]]:
+        """(a, b, C[a, b]) of every nonzero entry, in row-major order."""
+        a, b = np.nonzero(self.coefficients)
+        return list(zip(a.tolist(), b.tolist(), self.coefficients[a, b].tolist()))
 
     def coefficient_table(self) -> dict:
         """JSON-friendly coefficient listing for audit."""
+        d = self.d
         return {
-            "d": self.d,
+            "d": d,
             "monomials": [
                 {
-                    "alice_exponents": list(m.alice_exponents),
-                    "bob_exponents": list(m.bob_exponents),
-                    "coefficient": [m.coefficient.real, m.coefficient.imag],
+                    "alice_exponents": [d - 1 - a, a],
+                    "bob_exponents": [d - 1 - b, b],
+                    "coefficient": [c.real, c.imag],
                 }
-                for m in self.monomials
+                for a, b, c in self.entries()
             ],
         }
 
@@ -159,11 +145,8 @@ def builtin_operator(d: int) -> BellOperator:
     if d not in BUILTIN_POLYS:
         raise InvalidDimensionError(f"built-in Bell operators exist for d in 3..5, got {d}")
     w = omega(d)
-    monomials = tuple(
-        BellMonomial(ae, be, complex(sum(p * w**k for k, p in enumerate(poly))))
-        for (ae, be), poly in BUILTIN_POLYS[d].items()
-    )
-    return BellOperator(d, monomials)
+    c = [complex(sum(p * w**k for k, p in enumerate(poly))) for poly in BUILTIN_POLYS[d].values()]
+    return BellOperator(d, np.reshape(c, (d, d)))
 
 
 def table_convention(d: int) -> LabelConvention:
@@ -234,10 +217,10 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
 def monomial_observables(t: BellOperator, alice: np.ndarray, bob: np.ndarray,
                          slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's factor matrices of the given slices of a basis stack held as
-    (n, d, d) phase tables: slice s is monomial s % len(t.monomials) of basis
-    s // len(t.monomials), read at table rows m.basis_pair."""
-    basis, monomial = np.divmod(slices, len(t.monomials))
-    ia, ib = t.basis_pairs
+    (n, d, d) phase tables: with m nonzero entries C[a, b] in row-major order,
+    slice s is entry s % m of basis s // m, read at table rows a and b."""
+    ia, ib = np.nonzero(t.coefficients)
+    basis, monomial = np.divmod(slices, len(ia))
     rows = np.concatenate([alice[basis, ia[monomial]], bob[basis, ib[monomial]]])
     matrices = observable_matrices(rows, table_convention(t.d))
     return matrices[:len(slices)], matrices[len(slices):]
@@ -251,7 +234,8 @@ def violation_stack(state: EntangledState, t: BellOperator, alice: np.ndarray,
     """violation() of n bases held as (n, d, d) phase tables, with the np.kron loop's
     float bits: per block of (basis, monomial) slices np.kron's multiply, per slice
     the zgemv and dot of <v|A (x) B|v>, per basis Python's complex arithmetic."""
-    d, m = t.d, len(t.monomials)
+    ia, ib = np.nonzero(t.coefficients)
+    d, m = t.d, len(ia)
     if state.d != d or alice.shape[1:] != (d, d) or bob.shape != alice.shape:
         raise DimensionMismatchError("state, operator, and basis dimensions differ")
     v, step, n = state.vector, max(1, BLOCK_ENTRIES // d**4), len(alice) * m
@@ -262,14 +246,14 @@ def violation_stack(state: EntangledState, t: BellOperator, alice: np.ndarray,
             a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
         expectations[lo:lo + step] = (w[:, None, :] @ v[:, None])[:, 0, 0]
     terms = np.zeros((len(alice), m + 1), dtype=complex)  # column 0: the 0j a sum starts at
-    terms[:, 1:] = complex_product(t.coefficients, expectations.reshape(len(alice), m))
+    terms[:, 1:] = complex_product(t.coefficients[ia, ib], expectations.reshape(len(alice), m))
     total = np.add.accumulate(terms, axis=1)[:, -1]
     rotation = rotation_phase(d)  # the real part of Python's complex product
     return (rotation.real * total.real - rotation.imag * total.imag) / classical_norm(d)
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
-    """Violation factor v = Re(rotation_phase * sum_m c_m E_m) / (d^2 cos(pi/d))
+    """Violation factor v = Re(rotation_phase * sum_{a,b} C[a, b] E_ab) / (d^2 cos(pi/d))
     of a pure state; isotropic noise N scales it by (1 - N)."""
     alice, bob = basis.phase_tables
     return float(violation_stack(state, t, alice[np.newaxis], bob[np.newaxis])[0])
@@ -290,11 +274,9 @@ def lhv_max(t: BellOperator) -> float:
     # values[x1,x2,y1,y2] = T at assignment (w^x1, w^x2, w^y1, w^y2)
     values = np.zeros((d, d, d, d), dtype=complex)
     k = np.arange(d)
-    for m in t.monomials:
-        i1, i2 = m.alice_exponents
-        j1, j2 = m.bob_exponents
-        values += m.coefficient * np.einsum(
-            "a,b,c,e->abce", w**(i1 * k), w**(i2 * k), w**(j1 * k), w**(j2 * k)
+    for a, b, c in t.entries():
+        values += c * np.einsum(
+            "a,b,c,e->abce", w**((d - 1 - a) * k), w**(a * k), w**((d - 1 - b) * k), w**(b * k)
         )
     return float((rotation_phase(d) * values).real.max() / classical_norm(d))
 
@@ -340,6 +322,8 @@ def theta_scan(
     Returns (best theta, best violation): the first best of num_points phases, then
     of 21 phases spanning one grid step either side of it.  The grid is evaluated as
     canonical_basis stacks of BLOCK_ENTRIES // d^4 phases, bit-equal to violation()."""
+    if num_points < 1:
+        raise ValueError(f"num_points must be >= 1, got {num_points}")
     chunk = max(1, BLOCK_ENTRIES // t.d**4)
 
     def scan(phis):

@@ -43,7 +43,8 @@ _CSV_CHUNK = 65_536  # transcript rounds rendered to CSV at a time
 
 
 class InsufficientDataError(RuntimeError):
-    """Violation estimation needs at least one round per monomial basis pair."""
+    """Violation estimation needs at least one round in each basis pair (a, b)
+    whose coefficient C[a, b] is nonzero; ``pairs`` lists those that had none."""
 
     def __init__(self, pairs: Sequence[tuple[int, int]]):
         self.pairs = tuple(pairs)
@@ -284,28 +285,29 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
 def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, float]:
     """Empirical violation factor from transcript correlations.
 
-    Each monomial's expectation is estimated by the sample mean of the complex
-    outcome-label products over the rounds measured in its basis pair
-    ``m.basis_pair``; the standard error combines the per-pair sample
-    variances of the (real) per-round contributions, treating pairs as
-    independent samples.
+    The expectation at each nonzero coefficient C[a, b], taken in row-major
+    order, is estimated by the sample mean of the complex outcome-label
+    products over the rounds measured in basis pair (a, b); a pair whose
+    coefficient is 0 needs no rounds.  The standard error combines the
+    per-pair sample variances of the (real) per-round contributions,
+    treating pairs as independent samples.
     """
     d = t.d
     if transcript.d != d:
         raise DimensionMismatchError(f"transcript dimension {transcript.d} != operator's {d}")
     by_pair = transcript.pair_samples
 
-    starved = [m.basis_pair for m in t.monomials if m.basis_pair not in by_pair]
+    entries = t.entries()
+    starved = [(a, b) for a, b, _ in entries if (a, b) not in by_pair]
     if starved:
-        raise InsufficientDataError(sorted(set(starved)))
+        raise InsufficientDataError(starved)
 
     norm = classical_norm(d)
     phase = rotation_phase(d)
     v_hat = 0.0
     variance = 0.0
-    for m in t.monomials:
-        samples = by_pair[m.basis_pair]
-        contrib = (phase * m.coefficient * samples).real / norm
+    for a, b, c in entries:
+        contrib = (phase * c * by_pair[a, b]).real / norm
         n = len(contrib)
         v_hat += float(contrib.mean())
         if n > 1:

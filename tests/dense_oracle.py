@@ -33,10 +33,15 @@ def observables(basis, party: int) -> list:
             for row in basis.phase_tables[party]]
 
 
-def factors(m, basis):
-    """Monomial m's Alice and Bob observable objects, looked up one at a time."""
-    a, b = m.basis_pair
+def factors(a: int, b: int, basis):
+    """Alice's a-th and Bob's b-th observable objects, looked up one at a time."""
     return observables(basis, 0)[a], observables(basis, 1)[b]
+
+
+def entries(t) -> list:
+    """(a, b, C[a, b]) of every nonzero coefficient, walking C in row-major order
+    and taking each as a Python complex."""
+    return [(a, b, complex(c)) for (a, b), c in np.ndenumerate(t.coefficients) if c != 0]
 
 
 def ndeb_observables(d: int, theta=None) -> tuple[list, list]:
@@ -56,9 +61,9 @@ def noisy_density(state, noise: float) -> np.ndarray:
 
 
 def bell_matrix(t, basis) -> np.ndarray:
-    """T = sum_m c_m kron(A_m, B_m), the Bell operator as a d^2 x d^2 matrix."""
-    return sum(m.coefficient * np.kron(*(obs.matrix for obs in factors(m, basis)))
-               for m in t.monomials)
+    """T = sum_{a,b} C[a, b] kron(A_a, B_b), the Bell operator as a d^2 x d^2 matrix."""
+    return sum(c * np.kron(*(obs.matrix for obs in factors(a, b, basis)))
+               for a, b, c in entries(t))
 
 
 def dense_violation(rho: np.ndarray, t, basis) -> float:
@@ -69,14 +74,13 @@ def dense_violation(rho: np.ndarray, t, basis) -> float:
 
 
 def kron_violation(state, t, basis) -> float:
-    """violation() the np.kron way: per monomial, K = kron(A, B) and
-    state.vector.conj() @ K @ state.vector, summed in monomial order."""
-    d = t.d
+    """violation() the np.kron way: per nonzero C[a, b], K = kron(A_a, B_b) and
+    state.vector.conj() @ K @ state.vector, summed in row-major order."""
+    d, v = t.d, state.vector
+    alice, bob = observables(basis, 0), observables(basis, 1)
     total = 0j
-    for m in t.monomials:
-        a_obs, b_obs = factors(m, basis)
-        v = state.vector
-        total += m.coefficient * complex(v.conj() @ np.kron(a_obs.matrix, b_obs.matrix) @ v)
+    for a, b, c in entries(t):
+        total += c * complex(v.conj() @ np.kron(alice[a].matrix, bob[b].matrix) @ v)
     return float((rotation_phase(d) * total).real / classical_norm(d))
 
 

@@ -22,7 +22,6 @@ from quditbell.algebra import (
 from quditbell.bell import (
     BUILTIN_POLYS,
     BasisAssignment,
-    BellMonomial,
     BellOperator,
     assignment_candidates,
     builtin_operator,
@@ -46,6 +45,7 @@ from quditbell.ditter import (
 from dense_oracle import (
     bell_matrix,
     dense_violation,
+    entries,
     factors,
     kron_violation,
     noisy_density,
@@ -78,10 +78,10 @@ def test_builtin_operator_coefficients_match_polynomials():
     for d in (3, 4, 5):
         t = builtin_operator(d)
         w = omega(d)
-        by_key = {(m.alice_exponents, m.bob_exponents): m.coefficient for m in t.monomials}
-        for key, poly in BUILTIN_POLYS[d].items():
+        assert t.coefficients.shape == (d, d)
+        for ((_, a), (_, b)), poly in BUILTIN_POLYS[d].items():
             expected = sum(p * w**k for k, p in enumerate(poly))
-            assert abs(by_key[key] - expected) < 1e-12
+            assert abs(t.coefficients[a, b] - expected) < 1e-12
 
 
 # sha256 of repr(BUILTIN_POLYS) as recorded from the hand-typed integer tables
@@ -96,10 +96,10 @@ def test_builtin_polys_golden():
 
 def operator_from_polys(d: int, polys: dict) -> BellOperator:
     w = omega(d)
-    return BellOperator(d, tuple(
-        BellMonomial(ae, be, complex(sum(p * w**k for k, p in enumerate(poly))))
-        for (ae, be), poly in polys.items()
-    ))
+    c = np.zeros((d, d), dtype=complex)
+    for ((_, a), (_, b)), poly in polys.items():
+        c[a, b] = complex(sum(p * w**k for k, p in enumerate(poly)))
+    return BellOperator(d, c)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -114,9 +114,8 @@ def test_phase_table_operator_is_sharp(d, data):
     roots = roots_of_unity(d)
     p, q, r, s = np.ix_(*[np.arange(d)] * 4)
     values = np.zeros((d,) * 4, dtype=complex)
-    for m in t.monomials:
-        (i1, i2), (j1, j2) = m.alice_exponents, m.bob_exponents
-        values += m.coefficient * roots[(i1 * p + i2 * (p + r) + j1 * q + j2 * (q + s)) % d]
+    for a, b, c in entries(t):
+        values += c * roots[((d - 1 - a) * p + a * (p + r) + (d - 1 - b) * q + b * (q + s)) % d]
     assert np.abs(np.abs(values) - d * d).max() < 1e-9
     assert np.abs((values / (d * d)) ** d - 1).max() < 1e-9
     assert np.abs(values / (d * d) - roots[(g[r, s] - p - q) % d]).max() < 1e-9
@@ -129,28 +128,35 @@ def test_builtin_operator_rejects_other_dimensions():
         builtin_operator(6)
 
 
-def test_operator_homogeneity_enforced():
-    with pytest.raises(ValueError):
-        BellOperator(3, (BellMonomial((1, 0), (2, 0), 1.0),))
-
-
-@pytest.mark.parametrize("alice,bob", [((3, -1), (2, 0)), ((2, 0), (-1, 3))])
-def test_operator_rejects_negative_exponents(alice, bob):
-    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
-        BellOperator(3, (BellMonomial(alice, bob, 1.0),))
+@pytest.mark.parametrize("shape", [(9,), (3, 4), (4, 4), (1, 3, 3)],
+                         ids=["flat", "3x4", "4x4", "stacked"])
+def test_operator_rejects_coefficients_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"must have shape \(3, 3\), not"):
+        BellOperator(3, np.ones(shape))
 
 
 @pytest.mark.parametrize(
-    "alice,bob",
-    [((1, 0), (2, 0)), ((2, 0), (1, 2)), ((3, -1), (2, 0)), ((2, 0), (-1, 3))],
+    "value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)]
 )
-def test_monomial_observables_rejects_non_homogeneous_monomial(alice, bob):
-    """monomial_observables takes only a BellOperator, and the operator refuses a
-    monomial whose exponents are negative or do not sum to 2, so none reaches it."""
-    alice_table, bob_table = canonical_basis(3).phase_tables
-    with pytest.raises(ValueError, match="must be non-negative and sum to 2"):
-        monomial_observables(BellOperator(3, (BellMonomial(alice, bob, 1.0),)),
-                             alice_table[None], bob_table[None], np.arange(1))
+def test_operator_rejects_non_finite_coefficients(value):
+    c = np.ones((3, 3), dtype=complex)
+    c[1, 2] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        BellOperator(3, c)
+
+
+def test_operator_holds_a_read_only_copy_of_its_coefficients():
+    """A later write to the caller's array does not change v, and C refuses writes."""
+    c = np.array(builtin_operator(3).coefficients)
+    t = BellOperator(3, c)
+    state, basis = psi3(), canonical_basis(3)
+    v = violation(state, t, basis)
+    c[:] = 0
+    c[0, 0] = 100.0
+    assert violation(state, t, basis) == v == violation(state, builtin_operator(3), basis)
+    with pytest.raises(ValueError, match="read-only"):
+        t.coefficients[0, 0] = 0
+    assert t == t and t != BellOperator(3, c) and hash(t) == hash(t)
 
 
 def stacked_tables(bases) -> tuple[np.ndarray, np.ndarray]:
@@ -159,15 +165,18 @@ def stacked_tables(bases) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_monomial_observables_gathers_each_monomials_factor_matrices():
-    """Slice s of a stack of bases is monomial s % n of basis s // n, with the
+    """Slice s of a stack of bases is nonzero entry s % n of basis s // n, with the
     factor matrices of the one-observable-at-a-time objects, byte for byte."""
     d = 4
-    t, bases = builtin_operator(d), [canonical_basis(d), protocol_basis(d)]
-    n = len(t.monomials)
+    c = np.array(builtin_operator(d).coefficients)
+    c[1, 2] = c[3, 0] = 0
+    t, bases = BellOperator(d, c), [canonical_basis(d), protocol_basis(d)]
+    pairs = [(a, b) for a, b, _ in entries(t)]
+    n = len(pairs)
     alice, bob = monomial_observables(t, *stacked_tables(bases), np.arange(3, 2 * n))
     assert alice.shape == bob.shape == (2 * n - 3, d, d)
     for s, a, b in zip(range(3, 2 * n), alice, bob, strict=True):
-        a_obs, b_obs = factors(t.monomials[s % n], bases[s // n])
+        a_obs, b_obs = factors(*pairs[s % n], bases[s // n])
         assert (a.tobytes(), b.tobytes()) == (a_obs.matrix.tobytes(), b_obs.matrix.tobytes())
     with pytest.raises(DimensionMismatchError):
         violation_stack(psi4(), t, *stacked_tables([canonical_basis(3)]))
@@ -219,9 +228,7 @@ def test_violation_builds_each_observable_table_once(monkeypatch):
     monkeypatch.setattr(bell, "party_phase_table", counting)
     for d in range(2, 10):
         calls.clear()
-        t = BellOperator(d, tuple(
-            BellMonomial((d - 1 - a, a), (d - 1 - b, b), 1.0) for a in range(d) for b in range(d)
-        ))
+        t = BellOperator(d, np.ones((d, d)))
         basis = canonical_basis(d)
         violation(maximally_entangled(d), t, basis)
         violation(maximally_entangled(d), t, basis)
@@ -239,12 +246,7 @@ def test_deterministic_values_are_scaled_roots_of_unity(d):
     for _ in range(200):
         x1, x2, y1, y2 = w[rng.integers(0, d, size=4)]
         val = sum(
-            m.coefficient
-            * x1 ** m.alice_exponents[0]
-            * x2 ** m.alice_exponents[1]
-            * y1 ** m.bob_exponents[0]
-            * y2 ** m.bob_exponents[1]
-            for m in t.monomials
+            c * x1 ** (d - 1 - a) * x2**a * y1 ** (d - 1 - b) * y2**b for a, b, c in entries(t)
         )
         assert abs(abs(val) - d * d) < 1e-9
         assert abs(val**d - (d * d) ** d) < 1e-6 * (d * d) ** d
@@ -256,7 +258,7 @@ def test_lhv_max_is_exactly_one(d, expected):
 
 
 def test_lhv_max_refuses_large_dimension():
-    t = BellOperator(7, (BellMonomial((6, 0), (6, 0), 1.0),))
+    t = BellOperator(7, np.ones((7, 7)))
     with pytest.raises(InvalidDimensionError):
         lhv_max(t)
 
@@ -318,8 +320,8 @@ def test_correlation_matches_operator_expectation():
     d = 4
     state = psi4()
     basis = canonical_basis(d)
-    for m in builtin_operator(d).monomials:
-        a_obs, b_obs = factors(m, basis)
+    for a, b, _ in entries(builtin_operator(d)):
+        a_obs, b_obs = factors(a, b, basis)
         e_stat = label_correlation(state, a_obs, b_obs)
         op = np.kron(a_obs.matrix, b_obs.matrix)
         e_op = state.vector.conj() @ op @ state.vector
@@ -376,13 +378,14 @@ def draw_basis(d: int, data) -> BasisAssignment:
 
 
 def draw_operator(d: int, data) -> BellOperator:
-    """1 to 2d monomials of drawn basis pairs and coefficients."""
+    """A coefficient matrix C that is 0 but at 1 to 2d drawn basis pairs, each
+    holding a drawn coefficient (which may itself be 0)."""
+    c = np.zeros((d, d), dtype=complex)
     power = st.integers(0, d - 1)
-    monomials = data.draw(st.lists(st.builds(
-        lambda a, b, re, im: BellMonomial((d - 1 - a, a), (d - 1 - b, b), complex(re, im)),
-        power, power, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
-    ), min_size=1, max_size=2 * d))
-    return BellOperator(d, tuple(monomials))
+    value = st.just(0j) | st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+    for a, b, v in data.draw(st.lists(st.tuples(power, power, value), min_size=1, max_size=2 * d)):
+        c[a, b] = v
+    return BellOperator(d, c)
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -432,7 +435,7 @@ def test_violation_stack_equals_kron_route_per_basis(d, data):
     stack's slices straddle."""
     state, t = draw_state(d, data), draw_operator(d, data)
     bases = [draw_basis(d, data) for _ in range(data.draw(st.integers(1, 4)))]
-    slices = len(bases) * len(t.monomials)
+    slices = len(bases) * np.count_nonzero(t.coefficients)
     step = data.draw(st.none() | st.integers(1, max(1, slices - 1)))
     entries = bell.BLOCK_ENTRIES if step is None else step * d**4
     with mock.patch.object(bell, "BLOCK_ENTRIES", entries):
@@ -444,9 +447,7 @@ def test_violation_memory_is_bounded_by_its_block():
     """At d = 9 the 81 Kronecker products would take 8.5 MB at once; the
     blocks keep the peak near one block of bell.BLOCK_ENTRIES entries (512 KiB)."""
     d = 9
-    t = BellOperator(d, tuple(
-        BellMonomial((d - 1 - a, a), (d - 1 - b, b), 1.0) for a in range(d) for b in range(d)
-    ))
+    t = BellOperator(d, np.ones((d, d)))
     state, basis = maximally_entangled(d), canonical_basis(d)
     violation(state, t, basis)  # the cached tables and index arrays are not counted
     tracemalloc.start()
@@ -470,3 +471,9 @@ def test_theta_scan_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+@pytest.mark.parametrize("num_points", [0, -3])
+def test_theta_scan_rejects_non_positive_num_points(num_points):
+    with pytest.raises(ValueError, match=f"num_points must be >= 1, got {num_points}"):
+        theta_scan(psi3(), builtin_operator(3), num_points)

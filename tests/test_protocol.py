@@ -150,7 +150,7 @@ def test_estimate_violation_stub_records():
     a, b = np.divmod(np.arange(d * d), d)
     zeros = [0] * (d * d)
     v_hat, stderr = estimate_violation(standard_transcript(d, a, b, zeros, zeros), t)
-    total = sum(m.coefficient for m in t.monomials)
+    total = t.coefficients.sum()
     expected = (rotation_phase(d) * total).real / classical_norm(d)
     assert abs(v_hat - expected) < 1e-12
     assert stderr == 0.0
@@ -166,12 +166,14 @@ def test_estimate_violation_insufficient_data():
 
 
 def test_basis_pair_is_bijection():
+    """The coefficient listing puts C[a, b] at exponents (3 - a, a) and (3 - b, b),
+    every basis pair once, in row-major order."""
     t = builtin_operator(4)
-    pairs = [m.basis_pair for m in t.monomials]
-    assert len(set(pairs)) == len(t.monomials)
-    for m, (a, b) in zip(t.monomials, pairs):
-        assert m.alice_exponents == (3 - a, a)
-        assert m.bob_exponents == (3 - b, b)
+    listed = [(m["alice_exponents"], m["bob_exponents"], m["coefficient"])
+              for m in t.coefficient_table()["monomials"]]
+    c = t.coefficients
+    assert listed == [([3 - a, a], [3 - b, b], [c[a, b].real, c[a, b].imag])
+                      for a in range(4) for b in range(4)]
 
 
 def test_correlation_spectrum_uniform_state():

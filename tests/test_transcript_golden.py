@@ -30,7 +30,9 @@ from quditbell.algebra import (
     psi5,
     roots_of_unity,
 )
-from quditbell.bell import builtin_operator, classical_norm, rotation_phase, theta_scan
+from quditbell.bell import (
+    BellOperator, builtin_operator, classical_norm, rotation_phase, theta_scan
+)
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
@@ -231,12 +233,13 @@ def oracle(rounds: list[tuple], d: int, t=None):
         sums[(a, b)] = sums.get((a, b), 0j) + by_pair[(a, b)][-1]
     counts = {p: len(s) for p, s in by_pair.items()}
     sums = {p: sums[p] / counts[p] for p in sums}
-    if t is None or any(m.basis_pair not in by_pair for m in t.monomials):
+    terms = [] if t is None else [(p, complex(c)) for p, c in np.ndenumerate(t.coefficients) if c]
+    if t is None or any(p not in by_pair for p, _ in terms):
         return key_a, key_b, agree, sums, counts, None
     v_hat, var = 0.0, 0.0
-    for m in t.monomials:
-        samples = np.asarray(by_pair[m.basis_pair])
-        c = (rotation_phase(d) * m.coefficient * samples).real / classical_norm(d)
+    for pair, coefficient in terms:
+        samples = np.asarray(by_pair[pair])
+        c = (rotation_phase(d) * coefficient * samples).real / classical_norm(d)
         v_hat += float(c.mean())
         var += float(c.var(ddof=1)) / len(c) if len(c) > 1 else 0.0
     return key_a, key_b, agree, sums, counts, (v_hat, float(np.sqrt(var)))
@@ -360,3 +363,38 @@ def test_transcript_rejects_bad_columns():
     for a, k in [(np.array([-1]), one), (np.array([3]), one), (one, np.array([3]))]:
         with pytest.raises(ValueError, match="out of range"):
             Transcript(3, a, one, k, one, labels, labels)
+
+
+def keep_rounds(transcript: Transcript, keep: np.ndarray) -> Transcript:
+    """The transcript's rounds where keep is True, with its label tables."""
+    columns = (transcript.a, transcript.b, transcript.k, transcript.kp)
+    return Transcript(transcript.d, *(c[keep] for c in columns),
+                      transcript.alice_labels, transcript.bob_labels)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_estimate_needs_no_rounds_where_the_coefficient_is_zero(d, data):
+    """On a drawn sparse C, dropping every round of the pairs whose coefficient is 0
+    leaves the oracle's estimate, to the bit; dropping one more pair, of a nonzero
+    coefficient, raises InsufficientDataError naming that pair alone."""
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d)))
+    zero[data.draw(st.integers(0, d * d - 1))] = True
+    zero[data.draw(st.integers(0, d * d - 1))] = False
+    c = np.array(builtin_operator(d).coefficients)
+    c[zero.reshape(d, d)] = 0
+    t = BellOperator(d, c)
+    config = ProtocolConfig(d=d, state=maximally_entangled(d), noise=0.1, rounds=40 * d * d,
+                            rng_seed=data.draw(st.integers(0, 2**16)))
+    transcript, _ = run_protocol(config)
+    pair = transcript.a.astype(np.intp) * d + transcript.b
+    assert set(pair.tolist()) == set(range(d * d))
+    sparse = keep_rounds(transcript, ~zero[pair])
+    estimate = estimate_violation(sparse, t)
+    assert same(estimate, oracle(rows(sparse), d, t)[-1])
+    assert same(estimate, estimate_violation(transcript, t))
+    dropped = data.draw(st.sampled_from(np.flatnonzero(~zero).tolist()))
+    with pytest.raises(InsufficientDataError) as err:
+        estimate_violation(keep_rounds(sparse, pair[~zero[pair]] != dropped), t)
+    assert err.value.pairs == (divmod(dropped, d),)
