@@ -98,8 +98,10 @@ def make_state(d: int, deltas) -> EntangledState:
         )
     if not np.isfinite(deltas).all():
         raise ValueError("coefficients must be finite")
-    # an exact power-of-two scaling first, so the norm neither underflows nor overflows
-    deltas = np.ldexp(deltas.view(float), -np.frexp(np.abs(deltas).max())[1]).view(complex)
+    # an exact power-of-two scaling by the largest |re| or |im| (|delta| itself may overflow)
+    # first, so the norm neither underflows nor overflows
+    parts = deltas.view(float)
+    deltas = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
     norm = np.linalg.norm(deltas)
     if norm == 0.0:
         raise DegenerateStateError("all coefficients are zero")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +37,9 @@ from .algebra import (
     roots_of_unity,
 )
 from .ditter import (
+    PHASE_TOL,
+    InvalidPhaseError,
     LabelConvention,
-    PhaseVector,
     geometric_phases,
     observable_matrices,
     party_phase_table,
@@ -154,31 +154,24 @@ def table_convention(d: int) -> LabelConvention:
     return LabelConvention.STANDARD if d == 2 else LabelConvention.CONJUGATE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisAssignment:
-    """Which phase vectors realize the four Bell variables A1, A2, B1, B2; stacked
-    generators (and an array theta) make it a stack of assignments."""
+    """Both parties' measurement settings: read-only copies of Alice's and Bob's
+    (..., bases, d) phase tables, row a the phase vector of basis a's ditter, and the
+    label convention their detectors share.  Leading axes make it a stack of settings."""
 
-    theta: complex
-    alice_generators: tuple[PhaseVector, PhaseVector]
-    bob_generators: tuple[PhaseVector, PhaseVector]
+    phase_tables: tuple[np.ndarray, np.ndarray]
+    label_convention: LabelConvention
 
     def __post_init__(self):
-        if len({g.d for g in (*self.alice_generators, *self.bob_generators)}) != 1:
-            raise DimensionMismatchError("the four generators must share one dimension")
-
-    @property
-    def d(self) -> int:
-        return self.alice_generators[0].d
-
-    @cached_property
-    def phase_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alice's and Bob's (..., d, d) tables; row a is the phase vector of X1^{d-1-a} X2^a."""
-        return party_phase_table(*self.alice_generators), party_phase_table(*self.bob_generators)
-
-    @property
-    def label_convention(self) -> LabelConvention:
-        return table_convention(self.d)
+        alice, bob = self.phase_tables
+        if np.ndim(alice) < 2 or np.shape(alice) != np.shape(bob):
+            raise DimensionMismatchError("phase tables must share one (..., bases, d) shape")
+        tables = np.array((alice, bob), dtype=complex)
+        if not (np.abs(np.abs(tables) - 1.0) <= PHASE_TOL).all():  # NaN fails too
+            raise InvalidPhaseError("phase table entries must have unit modulus")
+        tables.flags.writeable = False
+        object.__setattr__(self, "phase_tables", tuple(tables))
 
 
 #: generator exponents (Alice A1, Alice A2, Bob B1, Bob B2) of the reference
@@ -194,11 +187,10 @@ def exponent_basis(d: int, exponents: tuple[int, int, int, int],
     if theta is None:
         theta = reference_theta(d)
     a1, a2, b1, b2 = exponents
-    return BasisAssignment(
-        theta=theta,
-        alice_generators=(geometric_phases(d, theta, a1), geometric_phases(d, theta, a2)),
-        bob_generators=(geometric_phases(d, theta, b1, -1), geometric_phases(d, theta, b2, -1)),
-    )
+    alice, bob = (party_phase_table(geometric_phases(d, theta, x, sign),
+                                    geometric_phases(d, theta, y, sign))
+                  for x, y, sign in ((a1, a2, 1), (b1, b2, -1)))
+    return BasisAssignment((alice, bob), table_convention(d))
 
 
 def canonical_basis(d: int, theta: complex | None = None) -> BasisAssignment:
@@ -214,49 +206,48 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
     return exponent_basis(d, (0, 1, 0, 1), theta)
 
 
-def monomial_observables(t: BellOperator, alice: np.ndarray, bob: np.ndarray,
+def monomial_observables(t: BellOperator, basis: BasisAssignment,
                          slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's factor matrices of the given slices of a basis stack held as
-    (n, d, d) phase tables: with m nonzero entries C[a, b] in row-major order,
-    slice s is entry s % m of basis s // m, read at table rows a and b."""
+    """Alice's and Bob's factor matrices of the given slices of a stack of n bases,
+    its tables' leading axes read as one: with m nonzero entries C[a, b] in row-major
+    order, slice s is entry s % m of basis s // m, read at table rows a and b."""
     ia, ib = np.nonzero(t.coefficients)
-    basis, monomial = np.divmod(slices, len(ia))
-    rows = np.concatenate([alice[basis, ia[monomial]], bob[basis, ib[monomial]]])
-    matrices = observable_matrices(rows, table_convention(t.d))
+    n, monomial = np.divmod(slices, len(ia))
+    alice, bob = (table.reshape(-1, t.d, t.d) for table in basis.phase_tables)
+    rows = np.concatenate([alice[n, ia[monomial]], bob[n, ib[monomial]]])
+    matrices = observable_matrices(rows, basis.label_convention)
     return matrices[:len(slices)], matrices[len(slices):]
 
 
 BLOCK_ENTRIES = 2**15  # complex entries of the A (x) B stack evaluated at once: 512 KiB
 
 
-def violation_stack(state: EntangledState, t: BellOperator, alice: np.ndarray,
-                    bob: np.ndarray) -> np.ndarray:
-    """violation() of n bases held as (n, d, d) phase tables, with the np.kron loop's
-    float bits: per block of (basis, monomial) slices np.kron's multiply, per slice
-    the zgemv and dot of <v|A (x) B|v>, per basis Python's complex arithmetic."""
-    ia, ib = np.nonzero(t.coefficients)
-    d, m = t.d, len(ia)
-    if state.d != d or alice.shape[1:] != (d, d) or bob.shape != alice.shape:
+def violation_stack(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> np.ndarray:
+    """violation() of each basis of a (..., d, d) stack, in an array of shape (...), with
+    the np.kron loop's float bits: per block of (basis, monomial) slices np.kron's
+    multiply, per slice the zgemv and dot of <v|A (x) B|v>, per basis Python's arithmetic."""
+    (ia, ib), alice = np.nonzero(t.coefficients), basis.phase_tables[0]
+    d, m, bases = t.d, len(ia), alice.size // t.d**2
+    if state.d != d or alice.shape[-2:] != (d, d):
         raise DimensionMismatchError("state, operator, and basis dimensions differ")
-    v, step, n = state.vector, max(1, BLOCK_ENTRIES // d**4), len(alice) * m
+    v, step, n = state.vector, max(1, BLOCK_ENTRIES // d**4), bases * m
     vc, expectations = v.conj(), np.empty(n, dtype=complex)
     for lo in range(0, n, step):
-        a, b = monomial_observables(t, alice, bob, np.arange(lo, min(lo + step, n)))
+        a, b = monomial_observables(t, basis, np.arange(lo, min(lo + step, n)))
         w = vc @ np.multiply(  # the block's A (x) B stack lives only for this zgemv
             a[:, :, None, :, None], b[:, None, :, None, :], order="C").reshape(-1, d * d, d * d)
         expectations[lo:lo + step] = (w[:, None, :] @ v[:, None])[:, 0, 0]
-    terms = np.zeros((len(alice), m + 1), dtype=complex)  # column 0: the 0j a sum starts at
-    terms[:, 1:] = complex_product(t.coefficients[ia, ib], expectations.reshape(len(alice), m))
-    total = np.add.accumulate(terms, axis=1)[:, -1]
+    terms = np.zeros((bases, m + 1), dtype=complex)  # column 0: the 0j a sum starts at
+    terms[:, 1:] = complex_product(t.coefficients[ia, ib], expectations.reshape(bases, m))
+    total = np.add.accumulate(terms, axis=1)[:, -1].reshape(alice.shape[:-2])
     rotation = rotation_phase(d)  # the real part of Python's complex product
     return (rotation.real * total.real - rotation.imag * total.imag) / classical_norm(d)
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
     """Violation factor v = Re(rotation_phase * sum_{a,b} C[a, b] E_ab) / (d^2 cos(pi/d))
-    of a pure state; isotropic noise N scales it by (1 - N)."""
-    alice, bob = basis.phase_tables
-    return float(violation_stack(state, t, alice[np.newaxis], bob[np.newaxis])[0])
+    of a pure state in one basis assignment; isotropic noise N scales it by (1 - N)."""
+    return float(violation_stack(state, t, basis))
 
 
 LHV_MAX_DIMENSION = 6
@@ -329,7 +320,7 @@ def theta_scan(
     def scan(phis):
         bases = (canonical_basis(t.d, np.exp(1j * phis[lo:lo + chunk]))
                  for lo in range(0, len(phis), chunk))
-        i, v = _best(np.concatenate([violation_stack(state, t, *b.phase_tables) for b in bases]))
+        i, v = _best(np.concatenate([violation_stack(state, t, b) for b in bases]))
         return phis[i], v
 
     phi, _ = scan(np.linspace(0.0, 2 * np.pi, num_points, endpoint=False))

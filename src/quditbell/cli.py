@@ -100,7 +100,10 @@ def parse_state(spec: str, d: int) -> algebra.EntangledState:
         raise ValidationError(
             f"state file {spec!r} needs \"deltas\": a list of [re, im] number pairs"
         )
-    return algebra.make_state(d, [complex(re, im) for re, im in deltas])
+    try:
+        return algebra.make_state(d, [complex(re, im) for re, im in deltas])
+    except OverflowError:
+        raise ValidationError(f"state file {spec!r} has a number too large for a float") from None
 
 
 def parse_noisy_state(spec: str, d: int) -> tuple[algebra.EntangledState, float]:
@@ -131,14 +134,14 @@ def parse_theta(spec: str | None) -> complex | None:
     return complex(np.exp(1j * phi))
 
 
-def _manifest(command: str, parameters: dict, result: dict, seed: int | None = None) -> dict:
+def _manifest(command: str, parameters: dict, result: dict) -> dict:
     digest = hashlib.sha256(
         json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     return {
         "command": command,
         "parameters": parameters,
-        "rng_seed": seed,
+        "rng_seed": parameters.get("seed"),
         "version": _version(),
         "checksum": digest,
     }
@@ -147,7 +150,7 @@ def _manifest(command: str, parameters: dict, result: dict, seed: int | None = N
 def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> None:
     doc = {
         "schema": SCHEMA_ID,
-        "manifest": _manifest(command, parameters, result, parameters.get("seed")),
+        "manifest": _manifest(command, parameters, result),
         "result": result,
     }
     if args.format == "json":
@@ -205,8 +208,8 @@ def cmd_violation(args) -> int:
         "violation": (1 - noise) * v + 0.0,  # + 0.0: N = 1 gives 0.0, never -0.0
         "reference_value": REFERENCE_VIOLATIONS[d],
         "optimized": bool(args.optimize),
-        "alice_phases": _phases_out(basis.alice_generators),
-        "bob_phases": _phases_out(basis.bob_generators),
+        "alice_phases": _phases_out(basis.phase_tables[0]),
+        "bob_phases": _phases_out(basis.phase_tables[1]),
     }
 
     def render(r):
@@ -220,12 +223,12 @@ def cmd_violation(args) -> int:
     return EXIT_OK
 
 
-def _phases_out(generators) -> list:
-    return [[[z.real, z.imag] for z in g.thetas] for g in generators]
+def _phases_out(table) -> list:  # rows 0 and d - 1: the generators X1 and X2
+    return [[[z.real, z.imag] for z in table[row]] for row in (0, -1)]
 
 
 def _params(args, names) -> dict:
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_simulate(args) -> int:
@@ -261,7 +264,7 @@ def cmd_simulate(args) -> int:
         if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
             t = bell.builtin_operator(d)
             v_hat, stderr = protocol.estimate_violation(transcript, t)
-            analytic = bell.violation(state, t, config.basis)
+            analytic = bell.violation(state, t, config.settings)
             result["violation_estimate"] = v_hat
             result["violation_stderr"] = stderr
             result["violation_analytic_same_basis"] = (1 - config.noise) * analytic

@@ -12,7 +12,7 @@ each party's (bases x d) table of complex outcome labels.  Sifting, the
 per-basis-pair summary, the violation estimate and the CSV export each take
 a transcript and work on whole columns.
 
-Two modes are supported:
+Two modes are supported, each with its settings one ``bell.BasisAssignment``:
 
 * ``hdDEB``: d bases per party, the a-th basis realizing the homogeneous
   monomial A1^{d-1-a} A2^a built from conjugate-paired generator phases, so
@@ -32,7 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DimensionMismatchError, EntangledState, complex_product, roots_of_unity
-from .bell import BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
+from .bell import (
+    BasisAssignment, BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
+)
 from .ditter import (
     PHASE_TOL, LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
 )
@@ -76,27 +78,17 @@ class ProtocolConfig:
         if self.mode not in (HDDEB_MODE, NDEB_MODE):
             raise ValueError(f"mode must be {HDDEB_MODE!r} or {NDEB_MODE!r}")
 
-    @property
-    def num_bases(self) -> int:
-        """Bases per party: the rows of Alice's settings table."""
-        return len(self.settings[0])
-
     @cached_property
-    def basis(self):
-        """hdDEB mode's ``protocol_basis(d, theta)``, built once per config."""
-        return protocol_basis(self.d, self.theta)
-
-    @cached_property
-    def settings(self) -> tuple[np.ndarray, np.ndarray, LabelConvention]:
-        """Alice's and Bob's (bases, d) phase tables, row a the phases of basis
-        a's ditter, and their detectors' label convention.  NDEB: 4 geometric
-        bases, Bob's in the conjugate family, so matched bases give k + k' = 0 mod d."""
+    def settings(self) -> BasisAssignment:
+        """Both parties' settings, built once per config.  hdDEB: protocol_basis(d, theta),
+        read by violation too; NDEB: 4 geometric bases with standard labels, Bob's in the
+        conjugate family, so matched bases give k + k' = 0 mod d."""
         if self.mode == HDDEB_MODE:
-            return (*self.basis.phase_tables, self.basis.label_convention)
+            return protocol_basis(self.d, self.theta)
         theta = self.theta if self.theta is not None else reference_theta(self.d)
         alice, bob = (np.array([geometric_phases(self.d, theta, a, sign).thetas
                                 for a in range(4)]) for sign in (+1, -1))
-        return alice, bob, LabelConvention.STANDARD
+        return BasisAssignment((alice, bob), LabelConvention.STANDARD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +208,9 @@ def sample_rounds(config: ProtocolConfig) -> Transcript:
     which is (1 - N) |U_A diag(delta) U_B^T|^2 + N/d^2 for N = config.noise.
     The transcript is a deterministic function of the configuration.
     """
-    d, n_bases = config.d, config.num_bases
-    alice_table, bob_table, convention = config.settings
-    alice_u, bob_u = ditter_unitaries(alice_table), ditter_unitaries(bob_table)
+    d, settings = config.d, config.settings
+    alice_u, bob_u = (ditter_unitaries(table) for table in settings.phase_tables)
+    n_bases = len(alice_u)
 
     rng = np.random.default_rng(config.rng_seed)
     a_draws = rng.integers(0, n_bases, size=config.rounds)
@@ -232,7 +224,7 @@ def sample_rounds(config: ProtocolConfig) -> Transcript:
         cdf = np.cumsum(((1.0 - config.noise) * pure + config.noise / (d * d)).ravel())
         flat[idx] = np.minimum(np.searchsorted(cdf, u_draws[idx], side="right"), d * d - 1)
 
-    labels = [np.broadcast_to(convention.labels(d), t.shape) for t in (alice_table, bob_table)]
+    labels = np.broadcast_to(settings.label_convention.labels(d), (2, n_bases, d))  # both parties
     return Transcript(d, a_draws, b_draws, flat // d, flat % d, *labels)
 
 

@@ -5,13 +5,14 @@ Schmidt state.  These helpers build the noisy density matrix itself and read
 the Bell operator off it by the trace, independently of that shortcut.
 ``kron_violation`` is the np.kron loop that ``bell.violation`` and each v of
 ``bell.violation_stack`` must match bit for bit, and ``observable_table_loop``
-the one-observable-at-a-time table build that a basis assignment's stacked
-phase tables and matrices must match byte for byte.  ``optimize_basis_loop``
+the one-observable-at-a-time table build that a BasisAssignment's phase
+tables and matrices must match byte for byte.  ``optimize_basis_loop``
 and ``theta_scan_two_pass`` are the basis searches as separate loops over
 ``kron_violation``, one basis at a time, which ``optimize_basis`` and
 ``theta_scan`` must match in the value and in the basis chosen.
-``observables`` and ``ndeb_observables`` give the settings of both protocol
-modes as one DitterObservable per basis.
+``observables`` reads any BasisAssignment, a Bell basis or a protocol
+config's settings, as one DitterObservable per table row; ``ndeb_observables``
+builds the NDEB settings one observable at a time.
 """
 import numpy as np
 
@@ -29,7 +30,7 @@ from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, g
 def observables(basis, party: int) -> list:
     """One DitterObservable per row of the basis's phase table for party 0
     (Alice) or 1 (Bob), each with the basis's label convention."""
-    return [DitterObservable(PhaseVector(basis.d, row), basis.label_convention)
+    return [DitterObservable(PhaseVector(len(row), row), basis.label_convention)
             for row in basis.phase_tables[party]]
 
 

@@ -81,6 +81,41 @@ def test_make_state_normalizes_tiny_and_huge_coefficients(deltas, expected):
     assert np.allclose(make_state(3, deltas).deltas, expected, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "deltas,expected",
+    [
+        ([complex(1.7e308, 1.7e308), 1], [(1 + 1j) * 2**-0.5, 0]),
+        ([complex(-1.7e308, 1.7e308), complex(1.7e308, -1.7e308), 0],
+         [-0.5 + 0.5j, 0.5 - 0.5j, 0]),
+    ],
+)
+def test_make_state_normalizes_coefficients_whose_modulus_overflows(deltas, expected):
+    """|delta| overflows though re and im are finite; scaling by the largest part
+    keeps every step finite (a RuntimeWarning fails the test)."""
+    assert np.allclose(make_state(len(deltas), deltas).deltas, expected, rtol=0, atol=1e-15)
+
+
+# components whose spread keeps every scaled square normal; power moves them all
+# towards either end of the float range
+WIDE_PART = st.just(0.0) | st.floats(1e-60, 1e60) | st.floats(-1e60, -1e-60)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    parts=st.lists(st.tuples(WIDE_PART, WIDE_PART), min_size=2, max_size=9),
+    power=st.integers(-240, 240),
+)
+def test_make_state_scaling_by_largest_part_keeps_the_bits_of_largest_modulus(parts, power):
+    """Where |delta| stays finite, the power-of-two scale taken from the largest |re| or
+    |im| gives the bytes of the one taken from the largest |delta|."""
+    deltas = np.array([complex(re, im) for re, im in parts]) * 10.0**power
+    if not deltas.any():
+        deltas[0] = 1.0
+    scaled = np.ldexp(deltas.view(float), -np.frexp(np.abs(deltas).max())[1]).view(complex)
+    plain = scaled / np.linalg.norm(scaled)
+    assert make_state(len(deltas), deltas).deltas.tobytes() == plain.tobytes()
+
+
 # components with a normal square even after the power-of-two scaling
 PART = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
 

@@ -33,13 +33,19 @@ from quditbell.bell import (
     optimize_basis,
     phase_table_polys,
     protocol_basis,
+    reference_theta,
     rotation_phase,
     theta_scan,
     violation,
     violation_stack,
 )
 from quditbell.ditter import (
-    LabelConvention, geometric_phases, observable_matrices, outcome_distribution
+    InvalidPhaseError,
+    LabelConvention,
+    geometric_phases,
+    observable_matrices,
+    outcome_distribution,
+    party_phase_table,
 )
 
 from dense_oracle import (
@@ -159,9 +165,10 @@ def test_operator_holds_a_read_only_copy_of_its_coefficients():
     assert t == t and t != BellOperator(3, c) and hash(t) == hash(t)
 
 
-def stacked_tables(bases) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's (len(bases), d, d) phase-table stacks."""
-    return tuple(np.stack(tables) for tables in zip(*(b.phase_tables for b in bases)))
+def stacked(bases) -> BasisAssignment:
+    """The bases as one stack: Alice's and Bob's (len(bases), d, d) phase tables."""
+    tables = tuple(np.stack(tables) for tables in zip(*(b.phase_tables for b in bases)))
+    return BasisAssignment(tables, bases[0].label_convention)
 
 
 def test_monomial_observables_gathers_each_monomials_factor_matrices():
@@ -173,13 +180,13 @@ def test_monomial_observables_gathers_each_monomials_factor_matrices():
     t, bases = BellOperator(d, c), [canonical_basis(d), protocol_basis(d)]
     pairs = [(a, b) for a, b, _ in entries(t)]
     n = len(pairs)
-    alice, bob = monomial_observables(t, *stacked_tables(bases), np.arange(3, 2 * n))
+    alice, bob = monomial_observables(t, stacked(bases), np.arange(3, 2 * n))
     assert alice.shape == bob.shape == (2 * n - 3, d, d)
     for s, a, b in zip(range(3, 2 * n), alice, bob, strict=True):
         a_obs, b_obs = factors(*pairs[s % n], bases[s // n])
         assert (a.tobytes(), b.tobytes()) == (a_obs.matrix.tobytes(), b_obs.matrix.tobytes())
     with pytest.raises(DimensionMismatchError):
-        violation_stack(psi4(), t, *stacked_tables([canonical_basis(3)]))
+        violation_stack(psi4(), t, stacked([canonical_basis(3)]))
 
 
 @pytest.mark.parametrize(
@@ -189,14 +196,51 @@ def test_monomial_observables_gathers_each_monomials_factor_matrices():
 )
 def test_basis_assignment_rejects_generators_of_different_dimensions(alice_dims, bob_dims):
     """With all-ones generators at theta = 1, Alice at d = 3 and Bob at d = 4 or 5
-    once gave violation(psi3(), builtin_operator(3), basis) = +-0.2222 without error."""
+    once gave violation(psi3(), builtin_operator(3), basis) = +-0.2222 without error.
+    A party's split generators fail in its table, parties of different d in the basis."""
     ones = {d: geometric_phases(d, 1, 0) for d in (3, 4, 5)}
-    with pytest.raises(DimensionMismatchError, match="share one dimension"):
-        BasisAssignment(1, tuple(ones[d] for d in alice_dims), tuple(ones[d] for d in bob_dims))
+    with pytest.raises(DimensionMismatchError, match="different dimensions|share one"):
+        tables = [party_phase_table(*(ones[d] for d in dims)) for dims in (alice_dims, bob_dims)]
+        BasisAssignment(tables, LabelConvention.CONJUGATE)
 
 
-def generator_bytes(basis) -> bytes:
-    return b"".join(g.thetas.tobytes() for g in (*basis.alice_generators, *basis.bob_generators))
+@pytest.mark.parametrize(
+    "alice_shape,bob_shape",
+    [((3, 3), (4, 3)), ((4, 3), (3, 3)), ((2, 3, 3), (3, 3)), ((2, 3, 3), (3, 3, 3)),
+     ((3,), (3,))],
+    ids=["bob-more-bases", "alice-more-bases", "alice-stacked", "stacks-differ", "one-row"],
+)
+def test_basis_assignment_rejects_tables_of_different_shapes(alice_shape, bob_shape):
+    with pytest.raises(DimensionMismatchError, match=r"must share one \(\.\.\., bases, d\) shape"):
+        BasisAssignment((np.ones(alice_shape), np.ones(bob_shape)), LabelConvention.STANDARD)
+
+
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize(
+    "entry", [0.0, 1.5, 1 + 2e-9, np.exp(0.3j) * (1 - 2e-9), np.nan, complex(np.inf, 0.0)]
+)
+def test_basis_assignment_rejects_entries_off_the_unit_circle(party, entry):
+    tables = [np.array(t) for t in canonical_basis(3).phase_tables]
+    tables[party][1, 2] = entry
+    with pytest.raises(InvalidPhaseError, match="unit modulus"):
+        BasisAssignment(tables, LabelConvention.CONJUGATE)
+
+
+def test_basis_assignment_holds_read_only_copies_of_its_tables():
+    """A later write to the caller's tables does not change v, and the tables refuse writes."""
+    state, t, basis = psi3(), builtin_operator(3), canonical_basis(3)
+    tables = [np.array(table) for table in basis.phase_tables]
+    copy = BasisAssignment(tables, basis.label_convention)
+    tables[0][:] = tables[1][:] = 1
+    assert violation(state, t, copy) == violation(state, t, basis)
+    for table in copy.phase_tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert copy == copy and copy != BasisAssignment(tables, basis.label_convention)
+
+
+def table_bytes(basis) -> bytes:
+    return b"".join(table.tobytes() for table in basis.phase_tables)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -211,7 +255,7 @@ def test_basis_searches_equal_their_loops(d):
         for theta in (None, np.exp(0.7j), np.exp(-2.3j)):
             basis, v = optimize_basis(state, t, theta)
             basis_loop, v_loop = optimize_basis_loop(state, t, theta)
-            assert (v, generator_bytes(basis)) == (v_loop, generator_bytes(basis_loop))
+            assert (v, table_bytes(basis)) == (v_loop, table_bytes(basis_loop))
         for num_points in (1, 2, 7, 40):
             assert theta_scan(state, t, num_points=num_points) == theta_scan_two_pass(
                 state, t, num_points)
@@ -292,12 +336,12 @@ def test_violation_density_path_matches_pure_path(d):
 def test_violation_below_hermitian_part_eigenvalue_bound(d):
     """For a fixed basis, no state can exceed the largest eigenvalue of the
     Hermitian part of e^{i pi/d} T / (d^2 cos(pi/d)), with T built densely.
-    The search covers 8 candidates, no two with the same generator phases."""
+    The search covers 8 candidates, no two with the same generator phases, which
+    are rows 0 and d - 1 of each party's table."""
     state = STATES[d]()
     t = builtin_operator(d)
     candidates = assignment_candidates(d)
-    phases = {b"".join(g.thetas.tobytes() for g in (*c.alice_generators, *c.bob_generators))
-              for c in candidates}
+    phases = {b"".join(table[[0, -1]].tobytes() for table in c.phase_tables) for c in candidates}
     assert len(candidates) == len(phases) == 8
     bounds = []
     for basis in candidates:
@@ -355,12 +399,16 @@ def test_coefficient_table_json_round_trip():
 
 
 def test_exponent_basis_structure():
-    basis = exponent_basis(3, (0, 2, -1, 1))
-    theta = basis.theta
-    assert np.allclose(basis.alice_generators[0].thetas, 1.0)
-    assert np.allclose(basis.alice_generators[1].thetas, theta ** (2 * np.arange(3)))
-    assert np.allclose(basis.bob_generators[0].thetas, theta ** (np.arange(3)))
-    assert np.allclose(basis.bob_generators[1].thetas, theta ** (-np.arange(3)))
+    """Rows 0 and d - 1 of each party's table are its generators X1 and X2, at the
+    default base phase and at a passed-in one."""
+    k = np.arange(3)
+    for passed, theta in ((None, reference_theta(3)), (np.exp(0.7j), np.exp(0.7j))):
+        alice, bob = exponent_basis(3, (0, 2, -1, 1), passed).phase_tables
+        assert alice.shape == bob.shape == (3, 3)
+        assert np.allclose(alice[0], 1.0)
+        assert np.allclose(alice[-1], theta ** (2 * k))
+        assert np.allclose(bob[0], theta ** k)
+        assert np.allclose(bob[-1], theta ** (-k))
 
 
 def draw_state(d: int, data):
@@ -409,8 +457,11 @@ def test_stacked_tables_equal_loop_bytes(d, data):
     """Each party's phase table, matrix stack and observables are byte-equal to
     the one-observable-at-a-time build."""
     exponents = data.draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
-    basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
-    generators = (basis.alice_generators, basis.bob_generators)
+    theta = np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
+    basis = exponent_basis(d, exponents, theta)
+    a1, a2, b1, b2 = exponents
+    generators = ((geometric_phases(d, theta, a1), geometric_phases(d, theta, a2)),
+                  (geometric_phases(d, theta, b1, -1), geometric_phases(d, theta, b2, -1)))
     for party in (0, 1):
         table = basis.phase_tables[party]
         matrices = observable_matrices(table, basis.label_convention)
@@ -439,7 +490,7 @@ def test_violation_stack_equals_kron_route_per_basis(d, data):
     step = data.draw(st.none() | st.integers(1, max(1, slices - 1)))
     entries = bell.BLOCK_ENTRIES if step is None else step * d**4
     with mock.patch.object(bell, "BLOCK_ENTRIES", entries):
-        vs = violation_stack(state, t, *stacked_tables(bases))
+        vs = violation_stack(state, t, stacked(bases))
     assert vs.tobytes() == np.array([kron_violation(state, t, b) for b in bases]).tobytes()
 
 

@@ -7,8 +7,8 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from quditbell import bell, cli, protocol
 from quditbell.algebra import maximally_entangled
-from quditbell.bell import BasisAssignment, builtin_operator
-from quditbell.ditter import PhaseVector
+from quditbell.bell import BasisAssignment, builtin_operator, table_convention
+from quditbell.ditter import PhaseVector, party_phase_table
 
 from dense_oracle import dense_violation, noisy_density
 
@@ -63,10 +63,12 @@ def test_violation_mixed_state_matches_dense_route(d, noise, optimize, capsys):
     assert code == 0
     r = json.loads(out)["result"]
 
-    def generators(phases):
-        return tuple(PhaseVector(d, [complex(re, im) for re, im in g]) for g in phases)
+    def table(phases):
+        generators = (PhaseVector(d, [complex(re, im) for re, im in g]) for g in phases)
+        return party_phase_table(*generators)
 
-    basis = BasisAssignment(1, generators(r["alice_phases"]), generators(r["bob_phases"]))
+    tables = table(r["alice_phases"]), table(r["bob_phases"])
+    basis = BasisAssignment(tables, table_convention(d))
     rho = noisy_density(maximally_entangled(d), float(noise))
     assert abs(r["violation"] - dense_violation(rho, builtin_operator(d), basis)) < 1e-12
 
@@ -111,6 +113,27 @@ def test_state_file_with_tiny_coefficients(deltas, tmp_path, capsys):
     code, out, err = run_cli(capsys, "violation", "--d", "3", "--state", str(path))
     assert code == 0
     assert err == "" and "v = " in out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_state_file_with_a_coefficient_whose_modulus_overflows(command, tmp_path, capsys):
+    """|1.7e308 + 1.7e308i| overflows a float; the state still normalizes, with no
+    numpy warning (one would fail the test)."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": 2, "deltas": [[1.7e308, 1.7e308], [1, 0]]}))
+    code, out, err = run_cli(capsys, command, "--d", "2", "--state", str(path))
+    assert code == 0
+    assert err == "" and out.startswith("d = 2")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_state_file_with_an_integer_too_large_for_a_float_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"d": 2, "deltas": [[' + "9" * 400 + ', 0], [1, 0]]}')
+    code, out, err = run_cli(capsys, command, "--d", "2", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: state file {str(path)!r} has a number too large for a float\n"
 
 
 def test_simulate_agreement_and_schema(capsys):

@@ -119,11 +119,12 @@ def test_product_identity_all_exponents(d, data):
 
     # a basis assignment's tables hold X1^{d-1-a} X2^a for each party
     base = np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
-    exponents = data.draw(st.tuples(*[st.integers(-d, d)] * 4))
+    a1, a2, b1, b2 = exponents = data.draw(st.tuples(*[st.integers(-d, d)] * 4))
     basis = exponent_basis(d, exponents, base)
     for generators, table in [
-        (basis.alice_generators, observables(basis, 0)),
-        (basis.bob_generators, observables(basis, 1)),
+        ((geometric_phases(d, base, a1), geometric_phases(d, base, a2)), observables(basis, 0)),
+        ((geometric_phases(d, base, b1, -1), geometric_phases(d, base, b2, -1)),
+         observables(basis, 1)),
     ]:
         x1, x2 = (ditter_observable(g).matrix for g in generators)
         assert len(table) == d

@@ -4,6 +4,7 @@ import pytest
 from quditbell import cli, protocol
 from quditbell.algebra import fourier_matrix, make_state, maximally_entangled, psi5, roots_of_unity
 from quditbell.bell import (
+    BasisAssignment,
     builtin_operator,
     classical_norm,
     protocol_basis,
@@ -40,8 +41,9 @@ def test_config_validation():
         ProtocolConfig(d=3, state=state, mode="other")
     with pytest.raises(ValueError):
         ProtocolConfig(d=4, state=state)
-    assert ProtocolConfig(d=3, state=state).num_bases == 3
-    assert ProtocolConfig(d=3, state=state, mode=NDEB_MODE).num_bases == 4
+    for mode, bases in ((HDDEB_MODE, 3), (NDEB_MODE, 4)):
+        settings = ProtocolConfig(d=3, state=state, mode=mode).settings
+        assert [table.shape for table in settings.phase_tables] == [(bases, 3)] * 2
 
 
 def test_perfect_sifted_agreement_max_entangled():
@@ -300,15 +302,17 @@ def test_sampler_matches_outcome_distribution(d, noise, mode, state_kind):
 @pytest.mark.parametrize("mode", [HDDEB_MODE, NDEB_MODE])
 @pytest.mark.parametrize("d", range(2, 10))
 def test_settings_equal_per_basis_observables(d, mode, theta):
-    """ProtocolConfig.settings holds each per-basis observable's phases and
-    labels, and ditter_unitaries each one's F @ diag(Theta), byte for byte."""
+    """ProtocolConfig.settings, one BasisAssignment in both modes, holds each
+    per-basis observable's phases and labels, and ditter_unitaries each one's
+    F @ diag(Theta), byte for byte."""
     config = ProtocolConfig(d=d, state=maximally_entangled(d), theta=theta, rounds=50, mode=mode)
     if mode == HDDEB_MODE:
         basis = protocol_basis(d, theta)
         parties = observables(basis, 0), observables(basis, 1)
     else:
         parties = ndeb_observables(d, theta)
-    *tables, convention = config.settings
+    assert isinstance(config.settings, BasisAssignment)
+    tables, convention = config.settings.phase_tables, config.settings.label_convention
     transcript = sample_rounds(config)
     labels = transcript.alice_labels, transcript.bob_labels
     for table, objs, party_labels in zip(tables, parties, labels, strict=True):
