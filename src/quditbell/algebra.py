@@ -60,7 +60,7 @@ def fourier_matrix(d: int) -> np.ndarray:
     return omega(d) ** np.outer(k, k) / np.sqrt(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntangledState:
     """Bipartite qudit state sum_j delta_j |jj> with unit-norm coefficients."""
 

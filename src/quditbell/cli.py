@@ -89,8 +89,10 @@ def parse_state(spec: str, d: int) -> algebra.EntangledState:
             payload = json.load(fh)
     except OSError:
         raise ValidationError(f"unknown state spec {spec!r}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"state file {spec!r} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal longer than int()'s digit limit
+        raise ValidationError(f"state file {spec!r} has a number too large for a float") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"state file {spec!r} must hold a JSON object")
     if payload.get("d") != d:
@@ -134,9 +136,13 @@ def parse_theta(spec: str | None) -> complex | None:
     return complex(np.exp(1j * phi))
 
 
+#: parsed arguments that are not a subcommand's parameters: where and how it writes
+_NOT_PARAMETERS = ("command", "func", "out", "format", "transcript")
+
+
 def _manifest(command: str, parameters: dict, result: dict) -> dict:
     digest = hashlib.sha256(
-        json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
     ).hexdigest()
     return {
         "command": command,
@@ -147,14 +153,17 @@ def _manifest(command: str, parameters: dict, result: dict) -> dict:
     }
 
 
-def _emit(command: str, parameters: dict, result: dict, args, text_renderer) -> None:
+def _emit(result: dict, args, text_renderer) -> None:
+    """Write the result as JSON, under its manifest, or as text; the manifest
+    names the subcommand and its parsed parameters, in parser order."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     doc = {
         "schema": SCHEMA_ID,
-        "manifest": _manifest(command, parameters, result),
+        "manifest": _manifest(args.command, parameters, result),
         "result": result,
     }
     if args.format == "json":
-        output = json.dumps(doc, indent=2) + "\n"
+        output = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         output = text_renderer(result) + "\n"
     _write([output], args.out)
@@ -219,16 +228,12 @@ def cmd_violation(args) -> int:
             f"reference  v = {r['reference_value']:.4f}"
         )
 
-    _emit("violation", _params(args, ["d", "state", "theta", "optimize"]), result, args, render)
+    _emit(result, args, render)
     return EXIT_OK
 
 
 def _phases_out(table) -> list:  # rows 0 and d - 1: the generators X1 and X2
     return [[[z.real, z.imag] for z in table[row]] for row in (0, -1)]
-
-
-def _params(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 def cmd_simulate(args) -> int:
@@ -257,7 +262,7 @@ def cmd_simulate(args) -> int:
             "rounds": config.rounds,
             "noise": config.noise,
             "sift_rate": summary.sift_rate,
-            "agreement_rate": summary.agreement_rate,
+            "agreement_rate": summary.agreement_rate if summary.agreement_defined else None,
             "agreement_defined": summary.agreement_defined,
             "key_length": len(summary.key_alice),
         }
@@ -297,13 +302,7 @@ def cmd_simulate(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(
-        "simulate",
-        _params(args, ["d", "state", "theta", "rounds", "noise", "seed", "mode"]),
-        result,
-        args,
-        render,
-    )
+    _emit(result, args, render)
     return EXIT_OK
 
 
@@ -324,7 +323,7 @@ def cmd_security(args) -> int:
     def render(r):
         return f"{security.criterion_table_text()}\n\n{security.comparison_table_text(reports)}"
 
-    _emit("security", _params(args, ["d_list"]), result, args, render)
+    _emit(result, args, render)
     return EXIT_OK
 
 
@@ -341,7 +340,7 @@ def cmd_lhv(args) -> int:
             f"{'PASS' if r['pass'] else 'FAIL'} (bound 1 + 1e-9)"
         )
 
-    _emit("lhv", _params(args, ["d"]), result, args, render)
+    _emit(result, args, render)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -363,7 +362,7 @@ def cmd_spectrum(args) -> int:
             lines.append("warning: P(0) < 1 — matched bases are not perfectly correlated")
         return "\n".join(lines)
 
-    _emit("spectrum", _params(args, ["d", "state"]), result, args, render)
+    _emit(result, args, render)
     return EXIT_OK
 
 

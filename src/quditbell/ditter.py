@@ -39,7 +39,7 @@ class ExponentConstraintError(ValueError):
     """Product exponents (i, j) violate 1 <= i <= d-2, i + j = d-1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseVector:
     """d-tuple of unit-modulus phase shifts parameterizing one ditter, or (..., d) stacked."""
 
@@ -111,9 +111,11 @@ def ditter_observable(phases: PhaseVector) -> DitterObservable:
     return DitterObservable(phases, LabelConvention.STANDARD)
 
 
-def geometric_phases(d: int, base: complex | np.ndarray, a: int, sign: int = 1) -> PhaseVector:
+def geometric_phases(d: int, base: complex | np.ndarray, a: int | np.ndarray,
+                     sign: int = 1) -> PhaseVector:
     """Phase vector (1, theta^a, theta^{2a}, ..) with theta = base, or its
-    conjugate family for sign = -1; an array of bases gives their stack."""
+    conjugate family for sign = -1; an array of bases, or an (n, 1) array of
+    exponents a, gives their stack."""
     base = np.asarray(base, dtype=complex)
     if not (abs(abs(base) - 1.0) <= PHASE_TOL).all():  # NaN fails too
         raise InvalidPhaseError(f"base phase must be unit modulus, got |{base}|")

@@ -6,9 +6,9 @@ detector fired.  Rounds with matching basis choices are sifted into key dits;
 all other rounds feed the Bell-violation estimate used to detect
 eavesdropping.
 
-A run's rounds are kept as one columnar :class:`Transcript`: integer columns
-for Alice's basis a, Bob's basis b and the detectors k, k' that fired, plus
-each party's (bases x d) table of complex outcome labels.  Sifting, the
+A run's rounds are kept as one columnar :class:`Transcript`: the run's
+settings, one ``bell.BasisAssignment``, plus integer columns for Alice's basis
+a, Bob's basis b and the detectors k, k' that fired.  Sifting, the
 per-basis-pair summary, the violation estimate and the CSV export each take
 a transcript and work on whole columns.
 
@@ -35,9 +35,7 @@ from .algebra import DimensionMismatchError, EntangledState, complex_product, ro
 from .bell import (
     BasisAssignment, BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
 )
-from .ditter import (
-    PHASE_TOL, LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
-)
+from .ditter import LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
@@ -56,7 +54,7 @@ class InsufficientDataError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     d: int
     state: EntangledState
@@ -86,42 +84,34 @@ class ProtocolConfig:
         if self.mode == HDDEB_MODE:
             return protocol_basis(self.d, self.theta)
         theta = self.theta if self.theta is not None else reference_theta(self.d)
-        alice, bob = (np.array([geometric_phases(self.d, theta, a, sign).thetas
-                                for a in range(4)]) for sign in (+1, -1))
-        return BasisAssignment((alice, bob), LabelConvention.STANDARD)
+        exponents = np.arange(4)[:, np.newaxis]  # row a: basis a's exponent
+        tables = (geometric_phases(self.d, theta, exponents, sign).thetas for sign in (+1, -1))
+        return BasisAssignment(tuple(tables), LabelConvention.STANDARD)
 
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """The rounds of one run as columns; row i is round i.
 
-    ``a`` and ``b`` are the basis choices, ``k`` and ``kp`` the detectors
-    that fired (``k'`` in the CSV).  ``alice_labels[a, k]`` and
-    ``bob_labels[b, kp]`` are the complex outcome labels those detectors
-    report.  The columns are stored read-only in the narrowest unsigned
-    dtype that holds them, the label tables as read-only complex arrays.
+    ``settings`` are the run's measurement settings, one (bases, d) phase table
+    per party.  ``a`` and ``b`` are the basis choices, ``k`` and ``kp`` the
+    detectors that fired (``k'`` in the CSV); detector k reports the complex
+    label ``settings.label_convention.labels(d)[k]``.  The columns are stored
+    read-only in the narrowest unsigned dtype that holds them.
     """
 
-    d: int
+    settings: BasisAssignment
     a: np.ndarray
     b: np.ndarray
     k: np.ndarray
     kp: np.ndarray
-    alice_labels: np.ndarray  # (Alice's bases, d)
-    bob_labels: np.ndarray  # (Bob's bases, d)
 
     def __post_init__(self):
-        for name in ("alice_labels", "bob_labels"):
-            table = np.array(getattr(self, name), dtype=complex)
-            if table.ndim != 2 or table.shape[1] != self.d:
-                raise ValueError(f"{name} must have shape (bases, {self.d}), not {table.shape}")
-            if not np.all(np.abs(np.abs(table) - 1.0) <= PHASE_TOL):  # NaN fails too
-                raise ValueError(f"{name} entries must be finite with unit modulus")
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
-        bounds = {
-            "a": len(self.alice_labels), "b": len(self.bob_labels), "k": self.d, "kp": self.d
-        }
+        table = self.settings.phase_tables[0]
+        if table.ndim != 2:
+            raise ValueError(f"transcript settings must be (bases, d) tables, not {table.shape}")
+        bases, d = table.shape
+        bounds = {"a": bases, "b": bases, "k": d, "kp": d}
         dtype = np.min_scalar_type(max(bounds.values()))
         shape = np.shape(self.a)
         for name, bound in bounds.items():
@@ -134,6 +124,10 @@ class Transcript:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
+    @property
+    def d(self) -> int:
+        return self.settings.phase_tables[0].shape[-1]
+
     def __len__(self) -> int:
         return len(self.a)
 
@@ -144,11 +138,10 @@ class Transcript:
         in the order a round-by-round pass would, and each product is the
         one Python's complex multiply gives (``complex_product``).
         """
+        labels = self.settings.label_convention.labels(self.d)
         samples = {}
-        for (a, b), idx in _pair_rounds(self.a, self.b, len(self.bob_labels)).items():
-            x = self.alice_labels[a, self.k[idx]]
-            y = self.bob_labels[b, self.kp[idx]]
-            products = samples[(a, b)] = complex_product(x, y)
+        for pair, idx in _pair_rounds(self.a, self.b, len(self.settings.phase_tables[0])).items():
+            products = samples[pair] = complex_product(labels[self.k[idx]], labels[self.kp[idx]])
             products.flags.writeable = False
         return samples
 
@@ -224,8 +217,7 @@ def sample_rounds(config: ProtocolConfig) -> Transcript:
         cdf = np.cumsum(((1.0 - config.noise) * pure + config.noise / (d * d)).ravel())
         flat[idx] = np.minimum(np.searchsorted(cdf, u_draws[idx], side="right"), d * d - 1)
 
-    labels = np.broadcast_to(settings.label_convention.labels(d), (2, n_bases, d))  # both parties
-    return Transcript(d, a_draws, b_draws, flat // d, flat % d, *labels)
+    return Transcript(settings, a_draws, b_draws, flat // d, flat % d)
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]:
@@ -285,8 +277,9 @@ def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, 
     treating pairs as independent samples.
     """
     d = t.d
-    if transcript.d != d:
-        raise DimensionMismatchError(f"transcript dimension {transcript.d} != operator's {d}")
+    shape = transcript.settings.phase_tables[0].shape
+    if shape != (d, d):
+        raise DimensionMismatchError(f"transcript tables {shape} != operator's ({d}, {d})")
     by_pair = transcript.pair_samples
 
     entries = t.entries()
@@ -343,7 +336,8 @@ def _csv_chunks(t: Transcript):
     """The transcript CSV as bytes: the header, then one buffer per chunk of
     rounds, its a, b, k, k' cells taken from tables over t's own bounds."""
     yield b"round,a,b,k,k'\r\n"
-    bounds, ends = (len(t.alice_labels), len(t.bob_labels), t.d, t.d), (b",",) * 3 + (b"\r\n",)
+    bases, d = t.settings.phase_tables[0].shape
+    bounds, ends = (bases, bases, d, d), (b",",) * 3 + (b"\r\n",)
     tables = [_csv_cells(np.arange(n, dtype=t.a.dtype), end) for n, end in zip(bounds, ends)]
     for start in range(0, len(t), _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, len(t))

@@ -128,12 +128,16 @@ def test_state_file_with_a_coefficient_whose_modulus_overflows(command, tmp_path
 
 @pytest.mark.parametrize("command", ["spectrum", "simulate"])
 def test_state_file_with_an_integer_too_large_for_a_float_exits_2(command, tmp_path, capsys):
+    """400 digits overflow a float; 5000 pass int()'s digit limit, whose own
+    message once reached the user ("... use sys.set_int_max_str_digits()")."""
     path = tmp_path / "state.json"
-    path.write_text('{"d": 2, "deltas": [[' + "9" * 400 + ', 0], [1, 0]]}')
-    code, out, err = run_cli(capsys, command, "--d", "2", "--state", str(path))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: state file {str(path)!r} has a number too large for a float\n"
+    for digits in (400, 5000):
+        path.write_text('{"d": 2, "deltas": [[' + "9" * digits + ', 0], [1, 0]]}')
+        code, out, err = run_cli(capsys, command, "--d", "2", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: state file {str(path)!r} has a number too large for a float\n"
+        assert "set_int_max_str_digits" not in err
 
 
 def test_simulate_agreement_and_schema(capsys):
@@ -149,6 +153,23 @@ def test_simulate_agreement_and_schema(capsys):
     v = doc["result"]["violation_estimate"]
     se = doc["result"]["violation_stderr"]
     assert abs(v - doc["result"]["violation_analytic_same_basis"]) < 4 * se
+
+
+def test_simulate_json_is_strict_json_when_no_round_is_sifted(capsys):
+    """One NDEB round at d = 5 sifts nothing: the agreement rate is null, not NaN."""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    code, out, err = run_cli(capsys, "simulate", "--d", "5", "--mode", "NDEB", "--rounds", "1",
+                             "--seed", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=reject)
+    validate(doc)
+    assert doc["result"]["agreement_rate"] is None and not doc["result"]["agreement_defined"]
+    assert doc["manifest"]["parameters"] == {
+        "d": 5, "state": "ghz", "theta": None, "rounds": 1, "noise": 0.0, "seed": 0, "mode": "NDEB"
+    }
 
 
 def test_simulate_psi5_agreement(capsys):

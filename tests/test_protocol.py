@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from quditbell import cli, protocol
-from quditbell.algebra import fourier_matrix, make_state, maximally_entangled, psi5, roots_of_unity
+from quditbell.algebra import (
+    DimensionMismatchError, fourier_matrix, make_state, maximally_entangled, psi3, psi5
+)
 from quditbell.bell import (
     BasisAssignment,
     builtin_operator,
@@ -11,7 +13,9 @@ from quditbell.bell import (
     rotation_phase,
     violation,
 )
-from quditbell.ditter import LabelConvention, ditter_unitaries, outcome_distribution
+from quditbell.ditter import (
+    LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
+)
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
@@ -75,9 +79,9 @@ def test_ndeb_mode_sift_rate_and_agreement():
 
 
 def standard_transcript(d, a, b, k, kp):
-    """Hand-made rounds with every basis reading detector k as omega^k."""
-    labels = np.tile(roots_of_unity(d), (d, 1))
-    return Transcript(d, *(np.array(c, dtype=int) for c in (a, b, k, kp)), labels, labels)
+    """Hand-made rounds over d bases per party, detector k reading omega^k."""
+    settings = BasisAssignment((np.ones((d, d)),) * 2, LabelConvention.STANDARD)
+    return Transcript(settings, *(np.array(c, dtype=int) for c in (a, b, k, kp)))
 
 
 def test_sift_dit_mapping():
@@ -114,10 +118,10 @@ def test_different_seeds_differ():
 def test_round_labels_are_roots_of_unity():
     config = ProtocolConfig(d=4, state=maximally_entangled(4), rounds=200, rng_seed=0)
     transcript, _ = run_protocol(config)
-    alice = transcript.alice_labels[transcript.a, transcript.k]
-    bob = transcript.bob_labels[transcript.b, transcript.kp]
-    assert np.abs(alice**4 - 1).max() < 1e-9
-    assert np.abs(bob**4 - 1).max() < 1e-9
+    labels = transcript.settings.label_convention.labels(4)
+    assert np.abs(labels**4 - 1).max() < 1e-9
+    products = np.concatenate(list(transcript.pair_samples.values()))
+    assert len(products) == 200 and np.abs(products**4 - 1).max() < 1e-9
 
 
 def test_estimate_violation_matches_analytic():
@@ -165,6 +169,27 @@ def test_estimate_violation_insufficient_data():
         estimate_violation(standard_transcript(d, [0], [0], [0], [0]), t)
     assert (0, 1) in err.value.pairs
     assert "a=0, b=1" in str(err.value)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_estimate_violation_rejects_settings_it_does_not_match(d):
+    """NDEB's 4 bases per party are not the operator's d: at d = 3 this once gave
+    a number, at d = 5 an InsufficientDataError."""
+    config = ProtocolConfig(d=d, state=maximally_entangled(d), rounds=2_000, mode=NDEB_MODE)
+    with pytest.raises(DimensionMismatchError, match=rf"\(4, {d}\) != operator's \({d}, {d}\)"):
+        estimate_violation(sample_rounds(config), builtin_operator(d))
+
+
+def test_states_configs_and_phases_compare_by_identity():
+    """Equality and hashing on dataclasses holding an array once raised
+    ("truth value of an array is ambiguous", "unhashable type")."""
+    state = psi3()
+    config = ProtocolConfig(d=3, state=state)
+    phases = geometric_phases(3, 1j, 1)
+    for obj, twin in [(state, psi3()), (config, ProtocolConfig(d=3, state=state)),
+                      (phases, geometric_phases(3, 1j, 1))]:
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj)
 
 
 def test_basis_pair_is_bijection():
@@ -314,11 +339,12 @@ def test_settings_equal_per_basis_observables(d, mode, theta):
     assert isinstance(config.settings, BasisAssignment)
     tables, convention = config.settings.phase_tables, config.settings.label_convention
     transcript = sample_rounds(config)
-    labels = transcript.alice_labels, transcript.bob_labels
-    for table, objs, party_labels in zip(tables, parties, labels, strict=True):
+    assert transcript.settings is config.settings and transcript.d == d
+    labels = convention.labels(d)
+    for table, objs in zip(tables, parties, strict=True):
         assert table.tobytes() == np.array([o.phases.thetas for o in objs]).tobytes()
         assert all(o.label_convention is convention for o in objs)
-        assert party_labels.tobytes() == np.array([o.labels for o in objs]).tobytes()
+        assert all(o.labels.tobytes() == labels.tobytes() for o in objs)
         for u, o in zip(ditter_unitaries(table), objs, strict=True):
             assert u.tobytes() == (fourier_matrix(d) * o.phases.thetas[np.newaxis, :]).tobytes()
     conjugate = mode == HDDEB_MODE and d > 2  # hdDEB's table rows read X^{d-1}'s labels

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditbell.algebra import roots_of_unity
+from quditbell.bell import BasisAssignment
+from quditbell.ditter import LabelConvention
 from quditbell.protocol import Transcript, transcript_csv_string, write_transcript_csv
 
 
@@ -38,20 +39,22 @@ def assert_same_csv(actual: str, expected: str) -> None:
         pytest.fail(f"CSV lengths differ: {len(actual)} != {len(expected)}")
 
 
+def all_ones_settings(bases: int, d: int) -> BasisAssignment:
+    """bases all-ones rows of d phases per party: the CSV reads only their shape."""
+    return BasisAssignment((np.ones((bases, d)),) * 2, LabelConvention.STANDARD)
+
+
 def random_transcript(d: int, bases: int, n: int, seed: int) -> Transcript:
     rng = np.random.default_rng(seed)
-    labels = np.tile(roots_of_unity(d), (bases, 1))
     a, b = rng.integers(0, bases, size=(2, n))
     k, kp = rng.integers(0, d, size=(2, n))
-    return Transcript(d, a, b, k, kp, labels, labels)
+    return Transcript(all_ones_settings(bases, d), a, b, k, kp)
 
 
 def head(transcript: Transcript, n: int) -> Transcript:
     """The transcript's first n rounds."""
     t = transcript
-    return Transcript(
-        t.d, t.a[:n], t.b[:n], t.k[:n], t.kp[:n], t.alice_labels, t.bob_labels
-    )
+    return Transcript(t.settings, t.a[:n], t.b[:n], t.k[:n], t.kp[:n])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 9, 10, 11, 32, 150])
@@ -76,9 +79,8 @@ def transcripts(draw):
     n = draw(st.integers(0, 40))
     a, b = (draw(st.lists(st.integers(0, bases - 1), min_size=n, max_size=n)) for _ in "ab")
     k, kp = (draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)) for _ in "kk")
-    labels = np.tile(roots_of_unity(d), (bases, 1))
-    return Transcript(d, np.array(a, dtype=int), np.array(b, dtype=int),
-                      np.array(k, dtype=int), np.array(kp, dtype=int), labels, labels)
+    return Transcript(all_ones_settings(bases, d), np.array(a, dtype=int), np.array(b, dtype=int),
+                      np.array(k, dtype=int), np.array(kp, dtype=int))
 
 
 @given(transcripts())

@@ -22,17 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditbell import cli
-from quditbell.algebra import (
-    DimensionMismatchError,
-    maximally_entangled,
-    psi3,
-    psi4,
-    psi5,
-    roots_of_unity,
-)
+from quditbell.algebra import DimensionMismatchError, maximally_entangled, psi3, psi4, psi5
 from quditbell.bell import (
-    BellOperator, builtin_operator, classical_norm, rotation_phase, theta_scan
+    BasisAssignment, BellOperator, builtin_operator, classical_norm, rotation_phase, theta_scan
 )
+from quditbell.ditter import LabelConvention
 from quditbell.protocol import (
     HDDEB_MODE,
     NDEB_MODE,
@@ -216,8 +210,8 @@ def test_coefficient_table_golden(d):
 
 def rows(transcript: Transcript) -> list[tuple]:
     """Per-round tuples (a, b, k, k', Alice's label, Bob's label)."""
-    x = transcript.alice_labels[transcript.a, transcript.k]
-    y = transcript.bob_labels[transcript.b, transcript.kp]
+    labels = transcript.settings.label_convention.labels(transcript.d)
+    x, y = labels[transcript.k], labels[transcript.kp]
     columns = (transcript.a, transcript.b, transcript.k, transcript.kp, x, y)
     return list(zip(*(c.tolist() for c in columns)))
 
@@ -285,19 +279,17 @@ def test_columnar_matches_per_round_oracle(d, mode, noise, rounds, seed):
     assert summary.to_json() == summarize(transcript).to_json()
 
 
-def label_table(d: int, conjugate: list[bool]) -> np.ndarray:
-    """One row of omega^k per basis, conjugated (omega^{-k}) where asked."""
-    w = roots_of_unity(d)
-    return np.array([w.conj() if c else w for c in conjugate])
+def all_ones_settings(bases: int, d: int, convention=LabelConvention.STANDARD) -> BasisAssignment:
+    """bases all-ones rows of d phases per party, read with the given labels."""
+    return BasisAssignment((np.ones((bases, d)),) * 2, convention)
 
 
 def test_no_round_sifted():
-    alice = label_table(3, [False, True, False])
-    bob = label_table(3, [True, False, True])
+    conjugate = all_ones_settings(3, 3, LabelConvention.CONJUGATE)
     # detector 0 under conjugate labels reads 1-0j, and (1-0j)(1-0j) = 1-0j
-    assert repr(complex(alice[1, 0])) == repr(complex(bob[2, 0])) == "(1-0j)"
+    assert repr(complex(conjugate.label_convention.labels(3)[0])) == "(1-0j)"
     a, b, k, kp = np.array([[0, 2, 1], [1, 0, 2], [2, 0, 0], [1, 1, 0]])
-    transcript = Transcript(3, a, b, k, kp, alice, bob)
+    transcript = Transcript(conjugate, a, b, k, kp)
     assert same(columnar(transcript), oracle(rows(transcript), 3))
     summary = summarize(transcript)
     assert summary.sift_rate == 0.0 and not summary.agreement_defined
@@ -308,8 +300,8 @@ def random_transcripts(draw) -> Transcript:
     d = draw(st.integers(2, 9))
     # all d bases, and 300 rounds, often enough that estimate_violation
     # for d = 3..5 gets every basis pair it needs
-    bases = st.just(d) | st.integers(1, d)
-    n_a, n_b = draw(bases), draw(bases)
+    bases = draw(st.just(d) | st.integers(1, d))
+    convention = draw(st.sampled_from(LabelConvention))
     n = draw(st.just(300) | st.integers(0, 300))
     # the columns come from a drawn seed: drawing every entry through
     # hypothesis made this test about 6x slower
@@ -318,17 +310,15 @@ def random_transcripts(draw) -> Transcript:
     def column(bound: int) -> np.ndarray:
         return rng.integers(0, bound, size=n)
 
-    def labels(n_bases: int) -> np.ndarray:
-        return label_table(d, draw(st.lists(st.booleans(), min_size=n_bases, max_size=n_bases)))
-
-    return Transcript(d, column(n_a), column(n_b), column(d), column(d), labels(n_a), labels(n_b))
+    return Transcript(all_ones_settings(bases, d, convention),
+                      column(bases), column(bases), column(d), column(d))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(random_transcripts())
 def test_columnar_matches_oracle_on_random_transcripts(transcript):
     d = transcript.d
-    full = 3 <= d <= 5 and len(transcript.alice_labels) == len(transcript.bob_labels) == d
+    full = 3 <= d <= 5 and len(transcript.settings.phase_tables[0]) == d
     t = builtin_operator(d) if full else None
     assert same(columnar(transcript, t), oracle(rows(transcript), d, t))
 
@@ -346,30 +336,42 @@ def test_transcript_columns_and_dimension_checks():
     [np.ones((3, 2), dtype=complex), np.full((3, 3), np.nan + 0j), np.full((3, 3), 2 + 0j)],
     ids=["wrong-width", "nan", "modulus-2"],
 )
-def test_transcript_rejects_bad_label_tables(table):
+def test_transcript_rejects_bad_settings(table):
+    """A party's table of another shape, or off the unit circle, gives no
+    transcript settings: BasisAssignment rejects it."""
     good = np.ones((3, 3), dtype=complex)
     one = np.zeros(1, dtype=int)
     for alice, bob in [(table, good), (good, table)]:
-        with pytest.raises(ValueError, match="labels"):
-            Transcript(3, one, one, one, one, alice, bob)
+        with pytest.raises(ValueError, match="shape|unit modulus"):
+            Transcript(BasisAssignment((alice, bob), LabelConvention.STANDARD), one, one, one, one)
+
+
+def test_transcript_rejects_stacked_settings():
+    one = np.zeros(1, dtype=int)
+    with pytest.raises(ValueError, match=r"\(bases, d\) tables, not \(2, 3, 3\)"):
+        Transcript(BasisAssignment((np.ones((2, 3, 3)),) * 2, LabelConvention.STANDARD),
+                   one, one, one, one)
 
 
 def test_transcript_rejects_bad_columns():
-    labels = np.ones((3, 3), dtype=complex)
+    three = all_ones_settings(3, 3)
     one = np.zeros(1, dtype=int)
     for a, k in [(np.zeros((1, 1), dtype=int), one), (np.zeros(2, dtype=int), one)]:
         with pytest.raises(ValueError, match="one-dimensional and of equal length"):
-            Transcript(3, a, one, k, one, labels, labels)
+            Transcript(three, a, one, k, one)
     for a, k in [(np.array([-1]), one), (np.array([3]), one), (one, np.array([3]))]:
         with pytest.raises(ValueError, match="out of range"):
-            Transcript(3, a, one, k, one, labels, labels)
+            Transcript(three, a, one, k, one)
+    # the bounds are the tables' (bases, d): 4 bases of 2 phases take a = 3, not k = 2
+    Transcript(all_ones_settings(4, 2), np.array([3]), one, one, one)
+    with pytest.raises(ValueError, match=r"column k out of range \[0, 2\)"):
+        Transcript(all_ones_settings(4, 2), np.array([3]), one, np.array([2]), one)
 
 
 def keep_rounds(transcript: Transcript, keep: np.ndarray) -> Transcript:
-    """The transcript's rounds where keep is True, with its label tables."""
+    """The transcript's rounds where keep is True, with its settings."""
     columns = (transcript.a, transcript.b, transcript.k, transcript.kp)
-    return Transcript(transcript.d, *(c[keep] for c in columns),
-                      transcript.alice_labels, transcript.bob_labels)
+    return Transcript(transcript.settings, *(c[keep] for c in columns))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
