@@ -93,6 +93,8 @@ def parse_state(spec: str, d: int) -> algebra.EntangledState:
         raise ValidationError(f"state file {spec!r} is not valid JSON: {exc}") from None
     except ValueError:  # an integer literal longer than int()'s digit limit
         raise ValidationError(f"state file {spec!r} has a number too large for a float") from None
+    except RecursionError:  # arrays or objects nested deeper than the decoder can recurse
+        raise ValidationError(f"state file {spec!r} is nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"state file {spec!r} must hold a JSON object")
     if payload.get("d") != d:

@@ -73,6 +73,10 @@ class LabelConvention(enum.Enum):
         w = roots_of_unity(d)
         return w.conj() if self is LabelConvention.CONJUGATE else w
 
+    def products(self, d: int) -> np.ndarray:
+        """(d, d) table P[k, k'] = labels[k] * labels[k'], as Python multiplies them."""
+        return complex_product(*np.ix_(self.labels(d), self.labels(d)))
+
 
 @dataclass(frozen=True)
 class DitterObservable:

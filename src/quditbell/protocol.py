@@ -8,9 +8,10 @@ eavesdropping.
 
 A run's rounds are kept as one columnar :class:`Transcript`: the run's
 settings, one ``bell.BasisAssignment``, plus integer columns for Alice's basis
-a, Bob's basis b and the detectors k, k' that fired.  Sifting, the
-per-basis-pair summary, the violation estimate and the CSV export each take
-a transcript and work on whole columns.
+a, Bob's basis b and the detectors k, k' that fired, and no per-round value.
+The summary and the violation estimate find each basis pair's rounds through
+the transcript's pair index and look them up at (k, k') in a (d, d) table:
+the label products P, or the pair's scores W[a, b].
 
 Two modes are supported, each with its settings one ``bell.BasisAssignment``:
 
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, EntangledState, complex_product, roots_of_unity
+from .algebra import DimensionMismatchError, EntangledState, roots_of_unity
 from .bell import (
     BasisAssignment, BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
 )
@@ -97,7 +98,7 @@ class Transcript:
     per party.  ``a`` and ``b`` are the basis choices, ``k`` and ``kp`` the
     detectors that fired (``k'`` in the CSV); detector k reports the complex
     label ``settings.label_convention.labels(d)[k]``.  The columns are stored
-    read-only in the narrowest unsigned dtype that holds them.
+    read-only in the narrowest unsigned dtype; ``pair_rounds`` is their pair index.
     """
 
     settings: BasisAssignment
@@ -132,25 +133,17 @@ class Transcript:
         return len(self.a)
 
     @cached_property
-    def pair_samples(self) -> dict[tuple[int, int], np.ndarray]:
-        """Outcome-label products alice * bob grouped by basis pair (a, b),
-        in the order of ``_pair_rounds``, so sums and moments see the values
-        in the order a round-by-round pass would, and each product is the
-        one Python's complex multiply gives (``complex_product``).
-        """
-        labels = self.settings.label_convention.labels(self.d)
-        samples = {}
-        for pair, idx in _pair_rounds(self.a, self.b, len(self.settings.phase_tables[0])).items():
-            products = samples[pair] = complex_product(labels[self.k[idx]], labels[self.kp[idx]])
-            products.flags.writeable = False
-        return samples
+    def pair_rounds(self) -> dict[tuple[int, int], np.ndarray]:
+        """The pair index: ``_pair_rounds`` of the basis columns, built once."""
+        return _pair_rounds(self.a, self.b, len(self.settings.phase_tables[0]))
 
 
 def _pair_rounds(a: np.ndarray, b: np.ndarray, n_b: int) -> dict[tuple[int, int], np.ndarray]:
-    """Round indices grouped by basis pair (a, b): pairs in order of first
-    appearance, each pair's indices in round order."""
+    """Read-only round indices grouped by basis pair (a, b): pairs in order of
+    first appearance, each pair's indices in round order."""
     code = a.astype(np.intp) * n_b + b
     order = np.argsort(code, kind="stable")
+    order.flags.writeable = False
     sorted_code = code[order]  # stable: each group starts at its pair's first round
     # a group starts where the sorted code changes; the slice keeps 0 rounds at 0 groups
     starts = np.flatnonzero(np.r_[True, sorted_code[1:] != sorted_code[:-1]][: len(code)])
@@ -245,16 +238,17 @@ def sift(transcript: Transcript) -> tuple[tuple[int, ...], tuple[int, ...], floa
 
 def summarize(transcript: Transcript) -> TranscriptSummary:
     """Sift the transcript and tabulate, per basis pair (a, b), the round
-    count and the mean outcome-label product alice * bob."""
+    count and the mean outcome-label product alice * bob, P[k, k']."""
     key_a, key_b, agreement, defined = sift(transcript)
+    products = transcript.settings.label_convention.products(transcript.d)
     correlations: dict[tuple[int, int], complex] = {}
     counts: dict[tuple[int, int], int] = {}
-    for pair, samples in transcript.pair_samples.items():
+    for pair, idx in transcript.pair_rounds.items():
         # a sequential sum from 0j: pairwise summation, or a start at the
         # first sample, would change the last bits or the sign of a zero
-        total = np.cumsum(np.r_[0j, samples])[-1]
-        correlations[pair] = complex(total) / len(samples)
-        counts[pair] = len(samples)
+        total = np.cumsum(np.r_[0j, products[transcript.k[idx], transcript.kp[idx]]])[-1]
+        correlations[pair] = complex(total) / len(idx)
+        counts[pair] = len(idx)
     return TranscriptSummary(
         sift_rate=len(key_a) / len(transcript) if len(transcript) else 0.0,
         key_alice=key_a,
@@ -269,34 +263,32 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
 def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, float]:
     """Empirical violation factor from transcript correlations.
 
-    The expectation at each nonzero coefficient C[a, b], taken in row-major
-    order, is estimated by the sample mean of the complex outcome-label
-    products over the rounds measured in basis pair (a, b); a pair whose
-    coefficient is 0 needs no rounds.  The standard error combines the
-    per-pair sample variances of the (real) per-round contributions,
-    treating pairs as independent samples.
+    A round of basis pair (a, b) whose detectors k, k' fired scores W[a, b][k, k']
+    = Re(rotation_phase * C[a, b] * P[k, k']) / (d^2 cos(pi/d)), P the label
+    products: one real (d, d) table per pair.  The estimate sums the pairs' mean
+    scores over the nonzero coefficients C[a, b] in row-major order; a pair whose
+    coefficient is 0 needs no rounds.  The standard error combines the per-pair
+    sample variances of the scores, treating pairs as independent samples.
     """
     d = t.d
     shape = transcript.settings.phase_tables[0].shape
     if shape != (d, d):
         raise DimensionMismatchError(f"transcript tables {shape} != operator's ({d}, {d})")
-    by_pair = transcript.pair_samples
-
-    entries = t.entries()
+    by_pair, entries = transcript.pair_rounds, t.entries()
     starved = [(a, b) for a, b, _ in entries if (a, b) not in by_pair]
     if starved:
         raise InsufficientDataError(starved)
 
-    norm = classical_norm(d)
-    phase = rotation_phase(d)
-    v_hat = 0.0
-    variance = 0.0
+    products = transcript.settings.label_convention.products(d)
+    v_hat = variance = 0.0
     for a, b, c in entries:
-        contrib = (phase * c * by_pair[a, b]).real / norm
-        n = len(contrib)
+        # W[a, b], one entry at a time: one product over all of C could move last bits
+        scores = (rotation_phase(d) * c * products).real / classical_norm(d)
+        idx = by_pair[a, b]
+        contrib = scores[transcript.k[idx], transcript.kp[idx]]
         v_hat += float(contrib.mean())
-        if n > 1:
-            variance += float(contrib.var(ddof=1)) / n
+        if len(idx) > 1:
+            variance += float(contrib.var(ddof=1)) / len(idx)
     return v_hat, float(np.sqrt(variance))
 
 

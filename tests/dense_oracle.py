@@ -13,9 +13,19 @@ and ``theta_scan_two_pass`` are the basis searches as separate loops over
 ``observables`` reads any BasisAssignment, a Bell basis or a protocol
 config's settings, as one DitterObservable per table row; ``ndeb_observables``
 builds the NDEB settings one observable at a time.
+``pair_samples_loop`` multiplies out every round's outcome-label product,
+and ``pair_correlations_loop`` and ``estimate_violation_loop`` are the
+summary's correlations and the violation estimate computed from those
+products, which the table lookups of ``summarize`` and ``estimate_violation``
+must match bit for bit.
+``lhv_max_loop`` is the local-realism maximum one deterministic strategy at
+a time.
 """
+import itertools
+
 import numpy as np
 
+from quditbell.algebra import complex_product
 from quditbell.bell import (
     CANONICAL_EXPONENTS,
     assignment_candidates,
@@ -25,6 +35,7 @@ from quditbell.bell import (
     rotation_phase,
 )
 from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
+from quditbell.protocol import InsufficientDataError
 
 
 def observables(basis, party: int) -> list:
@@ -145,3 +156,61 @@ def theta_scan_two_pass(state, t, num_points: int) -> tuple[complex, float]:
     step = 2 * np.pi / num_points
     phi, v = scan(np.linspace(phi - step, phi + step, 21))
     return complex(np.exp(1j * phi)), v
+
+
+def pair_rounds_loop(transcript) -> dict:
+    """Round indices by basis pair (a, b), one round at a time: pairs in order
+    of first appearance, each pair's rounds in round order."""
+    groups: dict = {}
+    for i, pair in enumerate(zip(transcript.a.tolist(), transcript.b.tolist())):
+        groups.setdefault(pair, []).append(i)
+    return {pair: np.array(idx, dtype=np.intp) for pair, idx in groups.items()}
+
+
+def pair_samples_loop(transcript) -> dict:
+    """Every round's outcome-label product alice * bob by basis pair: the two
+    labels gathered per round and multiplied as Python multiplies complex numbers."""
+    labels = transcript.settings.label_convention.labels(transcript.d)
+    return {pair: complex_product(labels[transcript.k[idx]], labels[transcript.kp[idx]])
+            for pair, idx in pair_rounds_loop(transcript).items()}
+
+
+def pair_correlations_loop(transcript) -> dict:
+    """Per basis pair, the sequential sum from 0j of its products over its rounds."""
+    return {pair: complex(np.cumsum(np.r_[0j, products])[-1]) / len(products)
+            for pair, products in pair_samples_loop(transcript).items()}
+
+
+def estimate_violation_loop(transcript, t) -> tuple[float, float]:
+    """(v, stderr) from the per-round products: per nonzero C[a, b] in row-major
+    order, Re(rotation_phase * C[a, b] * products) / (d^2 cos(pi/d)), its mean
+    and its var(ddof=1) / n; InsufficientDataError names every such pair with
+    no rounds."""
+    d = t.d
+    by_pair = pair_samples_loop(transcript)
+    terms = entries(t)
+    starved = [(a, b) for a, b, _ in terms if (a, b) not in by_pair]
+    if starved:
+        raise InsufficientDataError(starved)
+    phase, norm = rotation_phase(d), classical_norm(d)
+    v_hat, variance = 0.0, 0.0
+    for a, b, c in terms:
+        contrib = (phase * c * by_pair[a, b]).real / norm
+        v_hat += float(contrib.mean())
+        if len(contrib) > 1:
+            variance += float(contrib.var(ddof=1)) / len(contrib)
+    return v_hat, float(np.sqrt(variance))
+
+
+def lhv_max_loop(t) -> float:
+    """max over all d^4 deterministic strategies A1 = w^x1, A2 = w^x2, B1 = w^y1,
+    B2 = w^y2 of Re(rotation_phase * T) / (d^2 cos(pi/d)), T summed one monomial
+    C[a, b] A1^(d-1-a) A2^a B1^(d-1-b) B2^b at a time."""
+    d = t.d
+    w = np.exp(2j * np.pi / d)
+    best = -np.inf
+    for x1, x2, y1, y2 in itertools.product(range(d), repeat=4):
+        total = sum(c * w ** (((d - 1 - a) * x1 + a * x2 + (d - 1 - b) * y1 + b * y2) % d)
+                    for a, b, c in entries(t))
+        best = max(best, (rotation_phase(d) * total).real / classical_norm(d))
+    return float(best)

@@ -54,6 +54,7 @@ from dense_oracle import (
     entries,
     factors,
     kron_violation,
+    lhv_max_loop,
     noisy_density,
     observable_table_loop,
     observables,
@@ -299,6 +300,35 @@ def test_deterministic_values_are_scaled_roots_of_unity(d):
 @pytest.mark.parametrize("d,expected", [(3, 1.0), (4, 1.0), (5, 1.0)])
 def test_lhv_max_is_exactly_one(d, expected):
     assert abs(lhv_max(builtin_operator(d)) - expected) < 1e-9
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_lhv_max_is_some_strategys_value(d, data):
+    """On drawn complex C, most not sharp, lhv_max never exceeds the largest value
+    of the d^4 deterministic strategies taken one at a time (d = 2 is left out:
+    there d^2 cos(pi/d) is rounding noise)."""
+    values = data.draw(st.lists(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        min_size=d * d, max_size=d * d))
+    t = BellOperator(d, np.reshape(values, (d, d)))
+    assert lhv_max(t) <= lhv_max_loop(t) + 1e-12 * max(1.0, np.abs(values).sum())
+
+
+@pytest.mark.xfail(strict=True, reason="lhv_max raises the root w^x to the power e*x, so a "
+                   "variable only takes the values w^(x^2)")
+@pytest.mark.parametrize("d,nonzero", [(3, {(0, 0): -1, (1, 0): 1j}), (4, {(0, 2): 1, (0, 3): -1})])
+def test_lhv_max_reaches_every_strategy(d, nonzero):
+    """Two operators that are not sharp, whose maxima need a variable at a power of w
+    that is not a square: lhv_max reports 0.222 (d = 3) and 4e-16 (d = 4) where the
+    strategy loop finds 0.415 and 0.125.  A sharp operator, maximal at the all-ones
+    strategy, cannot show a strategy that is never reached."""
+    c = np.zeros((d, d), dtype=complex)
+    for pair, value in nonzero.items():
+        c[pair] = value
+    t = BellOperator(d, c)
+    assert abs(lhv_max(t) - lhv_max_loop(t)) <= 1e-12
 
 
 def test_lhv_max_refuses_large_dimension():

@@ -140,6 +140,17 @@ def test_state_file_with_an_integer_too_large_for_a_float_exits_2(command, tmp_p
         assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "simulate", "violation"])
+def test_state_file_nested_too_deeply_exits_2(command, tmp_path, capsys):
+    """100 000 nested arrays exceed the JSON decoder's recursion limit; the
+    RecursionError once reached the user as a 28-line traceback."""
+    path = tmp_path / "state.json"
+    path.write_text('{"d": 3, "deltas": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, command, "--d", "3", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: state file {str(path)!r} is nested too deeply to parse\n"
+
+
 def test_simulate_agreement_and_schema(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -190,6 +201,25 @@ def test_simulate_determinism_checksum(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["manifest"]["checksum"] == json.loads(out2)["manifest"]["checksum"]
+
+
+def test_simulate_seed_defaults_to_0(capsys):
+    argv = ["simulate", "--d", "3", "--rounds", "500", "--format", "json"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    "violation --d 3 --state psi3 --format json",
+    "simulate --d 3 --rounds 500 --format json",
+    "security --d-list 3 --format json",
+    "lhv --d 3 --format json",
+    "spectrum --d 5 --state psi5 --format json",
+])
+def test_json_output_is_indented_by_2_and_ends_in_a_newline(argv, capsys):
+    """Pins each subcommand's layout (indent, key order, final newline), not its values."""
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_simulate_insufficient_rounds_exits_3(capsys):
@@ -312,6 +342,10 @@ def test_spectrum_psi5(capsys):
     assert code == 0
     assert "P(k+k'=0 mod d) = 0.6800" in out
     assert "warning" in out
+    for d, state, perfect in [("5", "psi5", False), ("3", "ghz", True), ("5", "ghz", True)]:
+        code, out, _ = run_cli(capsys, "spectrum", "--d", d, "--state", state, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["perfect_correlation"] is perfect
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditbell import cli, protocol
 from quditbell.algebra import (
@@ -9,6 +10,7 @@ from quditbell.bell import (
     BasisAssignment,
     builtin_operator,
     classical_norm,
+    exponent_basis,
     protocol_basis,
     rotation_phase,
     violation,
@@ -118,9 +120,9 @@ def test_different_seeds_differ():
 def test_round_labels_are_roots_of_unity():
     config = ProtocolConfig(d=4, state=maximally_entangled(4), rounds=200, rng_seed=0)
     transcript, _ = run_protocol(config)
-    labels = transcript.settings.label_convention.labels(4)
-    assert np.abs(labels**4 - 1).max() < 1e-9
-    products = np.concatenate(list(transcript.pair_samples.values()))
+    convention = transcript.settings.label_convention
+    assert np.abs(convention.labels(4)**4 - 1).max() < 1e-9
+    products = convention.products(4)[transcript.k, transcript.kp]  # P at each round's (k, k')
     assert len(products) == 200 and np.abs(products**4 - 1).max() < 1e-9
 
 
@@ -160,6 +162,28 @@ def test_estimate_violation_stub_records():
     expected = (rotation_phase(d) * total).real / classical_norm(d)
     assert abs(v_hat - expected) < 1e-12
     assert stderr == 0.0
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_score_tables_average_to_the_violation(d, data):
+    """The expected estimate: each pair's scores W[a, b] = Re(rotation_phase
+    * C[a, b] * P) / (d^2 cos(pi/d)), P the label products, summed against the
+    pair's exact outcome table, add up to violation() for drawn states and bases."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
+    exponents = tuple(data.draw(st.integers(-3, 3)) for _ in range(4))
+    basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0, 2 * np.pi))))
+    t = builtin_operator(d)
+    products = basis.label_convention.products(d)
+    alice, bob = (ditter_unitaries(table) for table in basis.phase_tables)
+    expected = sum(
+        ((rotation_phase(d) * c * products).real / classical_norm(d)
+         * outcome_distribution(state, alice[a], bob[b])).sum()
+        for a, b, c in t.entries()
+    )
+    assert abs(expected - violation(state, t, basis)) <= 1e-12
 
 
 def test_estimate_violation_insufficient_data():
@@ -364,8 +388,8 @@ def test_one_round_builds_one_outcome_table(monkeypatch):
 
 
 def test_simulate_groups_rounds_by_pair_twice(monkeypatch, capsys):
-    """Once for sampling, once for the label products that the summary and
-    the violation estimate share."""
+    """Once for sampling, once for the transcript's pair index, which the
+    summary and the violation estimate share."""
     calls = []
     pair_rounds = protocol._pair_rounds
 

@@ -40,6 +40,8 @@ from quditbell.protocol import (
     transcript_csv_string,
 )
 
+from dense_oracle import estimate_violation_loop, pair_correlations_loop
+
 CASES = {
     "criterion-10": dict(d=3, state=psi3, noise=0.2, rounds=100_000, seed=10, mode=HDDEB_MODE),
     "criterion-11": dict(
@@ -400,3 +402,40 @@ def test_estimate_needs_no_rounds_where_the_coefficient_is_zero(d, data):
     with pytest.raises(InsufficientDataError) as err:
         estimate_violation(keep_rounds(sparse, pair[~zero[pair]] != dropped), t)
     assert err.value.pairs == (divmod(dropped, d),)
+
+
+@st.composite
+def scored_transcripts(draw) -> tuple[Transcript, BellOperator]:
+    """A transcript over d bases per party, d = 2..6, under either label
+    convention, and a sparse complex C: some pairs drawn enough rounds, some
+    left with none."""
+    d = draw(st.integers(2, 6))
+    convention = draw(st.sampled_from(LabelConvention))
+    n = draw(st.just(20 * d * d) | st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transcript = Transcript(all_ones_settings(d, d, convention),
+                            *(rng.integers(0, bound, size=n) for bound in (d, d, d, d)))
+    nonzero = draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
+    values = draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                              allow_infinity=False),
+                           min_size=d * d, max_size=d * d))
+    c = np.where(np.reshape(nonzero, (d, d)), np.reshape(values, (d, d)), 0)
+    return transcript, BellOperator(d, c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(scored_transcripts())
+def test_score_tables_match_the_per_round_products(case):
+    """The label-product table P and the per-pair score tables W give, bit for bit,
+    the correlations and the (v, stderr) of every round's own label product, and
+    the same pairs with no rounds."""
+    transcript, t = case
+    assert repr(summarize(transcript).pair_correlations) == repr(pair_correlations_loop(transcript))
+    try:
+        expected = estimate_violation_loop(transcript, t)
+    except InsufficientDataError as err:
+        with pytest.raises(InsufficientDataError) as got:
+            estimate_violation(transcript, t)
+        assert got.value.pairs == err.pairs
+    else:
+        assert np.array(estimate_violation(transcript, t)).tobytes() == np.array(expected).tobytes()
