@@ -2,8 +2,8 @@
 
 Alice and Bob each hold half of an entangled qudit pair and measure in one of
 d randomly chosen ditter bases per round.  Matching choices are sifted into
-key dits; the remaining statistics estimate the Bell violation that certifies
-the absence of an eavesdropper.
+key dits.  The rounds of every basis pair, matched ones included, estimate the
+Bell violation that certifies the absence of an eavesdropper.
 """
 import numpy as np
 

@@ -11,7 +11,8 @@ Under local realism, with all four variables taking d-th-root-of-unity values,
 
 where rotation_phase = e^{i pi/d}.  Quantum mechanically each monomial becomes
 a product ditter observable and the left-hand side can exceed 1; the value v
-is the violation factor.
+is the violation factor.  BellOperator holds both constants (.rotation_phase,
+.classical_norm), splits v into per-round .score_tables and needs d >= 3.
 
 The built-in operators for d = 3, 4, 5 (hCHSH-d) are stored as phase tables
 g: Z_d^2 -> Z_d, and their integer polynomials in omega = e^{2i pi/d} are
@@ -45,33 +46,23 @@ from .ditter import (
     party_phase_table,
 )
 
-#: default base phase for the reference measurement bases
 def reference_theta(d: int) -> complex:
+    """Default base phase e^{i pi/2d} of the reference measurement bases."""
     return np.exp(1j * np.pi / (2 * d))
-
-
-def rotation_phase(d: int) -> complex:
-    """The fixed rotation e^{i pi/d} applied before taking the real part.
-
-    Named to avoid clashing with density matrices, which share the symbol rho
-    in most of the literature.
-    """
-    return np.exp(1j * np.pi / d)
-
-
-def classical_norm(d: int) -> float:
-    return d * d * np.cos(np.pi / d)
 
 
 @dataclass(frozen=True, eq=False)
 class BellOperator:
     """T = sum_{a,b} C[a, b] A1^{d-1-a} A2^a B1^{d-1-b} B2^b, held as a read-only
-    copy of the (d, d) complex coefficient matrix C; a zero entry is no monomial."""
+    copy of the (d, d) complex coefficient matrix C; a zero entry is no monomial.
+    d >= 3, as at d = 2 the local bound d^2 cos(pi/d) is 0 and normalises nothing."""
 
     d: int
     coefficients: np.ndarray
 
     def __post_init__(self):
+        if self.d < 3:
+            raise InvalidDimensionError(f"hCHSH-d Bell operators need d >= 3, got {self.d}")
         c = np.array(self.coefficients, dtype=complex)
         if c.shape != (self.d, self.d):
             raise ValueError(f"coefficients must have shape ({self.d}, {self.d}), not {c.shape}")
@@ -84,6 +75,23 @@ class BellOperator:
         """(a, b, C[a, b]) of every nonzero entry, in row-major order."""
         a, b = np.nonzero(self.coefficients)
         return list(zip(a.tolist(), b.tolist(), self.coefficients[a, b].tolist()))
+
+    @property
+    def rotation_phase(self) -> complex:
+        """e^{i pi/d}, the rotation applied before taking the real part."""
+        return np.exp(1j * np.pi / self.d)
+
+    @property
+    def classical_norm(self) -> float:
+        """d^2 cos(pi/d), the local bound that normalises every score."""
+        return self.d * self.d * np.cos(np.pi / self.d)
+
+    def score_tables(self, convention: LabelConvention) -> list[tuple[int, int, np.ndarray]]:
+        """(a, b, W[a, b]) per nonzero C[a, b], row-major: W[a, b][k, k'] = Re(rotation_phase
+        * C[a, b] * P[k, k']) / classical_norm, one product per entry to keep its last bits."""
+        products = convention.products(self.d)
+        return [(a, b, (self.rotation_phase * c * products).real / self.classical_norm)
+                for a, b, c in self.entries()]
 
     def coefficient_table(self) -> dict:
         """JSON-friendly coefficient listing for audit."""
@@ -240,8 +248,8 @@ def violation_stack(state: EntangledState, t: BellOperator, basis: BasisAssignme
     terms = np.zeros((bases, m + 1), dtype=complex)  # column 0: the 0j a sum starts at
     terms[:, 1:] = complex_product(t.coefficients[ia, ib], expectations.reshape(bases, m))
     total = np.add.accumulate(terms, axis=1)[:, -1].reshape(alice.shape[:-2])
-    rotation = rotation_phase(d)  # the real part of Python's complex product
-    return (rotation.real * total.real - rotation.imag * total.imag) / classical_norm(d)
+    rotation = t.rotation_phase  # the real part of Python's complex product
+    return (rotation.real * total.real - rotation.imag * total.imag) / t.classical_norm
 
 
 def violation(state: EntangledState, t: BellOperator, basis: BasisAssignment) -> float:
@@ -269,7 +277,7 @@ def lhv_max(t: BellOperator) -> float:
         values += c * np.einsum(
             "a,b,c,e->abce", w**((d - 1 - a) * k), w**(a * k), w**((d - 1 - b) * k), w**(b * k)
         )
-    return float((rotation_phase(d) * values).real.max() / classical_norm(d))
+    return float((t.rotation_phase * values).real.max() / t.classical_norm)
 
 
 def assignment_candidates(d: int, theta: complex | None = None):

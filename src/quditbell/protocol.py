@@ -2,16 +2,16 @@
 
 Each round, Alice and Bob independently pick one measurement basis uniformly
 at random, measure their halves of a shared entangled pair, and record which
-detector fired.  Rounds with matching basis choices are sifted into key dits;
-all other rounds feed the Bell-violation estimate used to detect
-eavesdropping.
+detector fired.  Rounds with matching basis choices are sifted into key dits.
+The Bell-violation estimate used to detect eavesdropping scores the rounds of
+every pair (a, b) whose coefficient C[a, b] is nonzero, matched pairs included.
 
 A run's rounds are kept as one columnar :class:`Transcript`: the run's
 settings, one ``bell.BasisAssignment``, plus integer columns for Alice's basis
 a, Bob's basis b and the detectors k, k' that fired, and no per-round value.
 The summary and the violation estimate find each basis pair's rounds through
 the transcript's pair index and look them up at (k, k') in a (d, d) table:
-the label products P, or the pair's scores W[a, b].
+the label products P, or the pair's scores W[a, b] (``BellOperator.score_tables``).
 
 Two modes are supported, each with its settings one ``bell.BasisAssignment``:
 
@@ -33,9 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DimensionMismatchError, EntangledState, roots_of_unity
-from .bell import (
-    BasisAssignment, BellOperator, classical_norm, protocol_basis, reference_theta, rotation_phase
-)
+from .bell import BasisAssignment, BellOperator, protocol_basis, reference_theta
 from .ditter import LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
 
 HDDEB_MODE = "hdDEB"
@@ -165,12 +163,12 @@ class TranscriptSummary:
     pair_counts: dict[tuple[int, int], int]
 
     def to_dict(self) -> dict:
-        """JSON-friendly rendering (complex correlations as [re, im])."""
+        """JSON-friendly rendering: complex correlations as [re, im], an undefined rate as None."""
         return {
             "sift_rate": self.sift_rate,
             "key_alice": list(self.key_alice),
             "key_bob": list(self.key_bob),
-            "agreement_rate": self.agreement_rate,
+            "agreement_rate": self.agreement_rate if self.agreement_defined else None,
             "agreement_defined": self.agreement_defined,
             "pair_correlations": {
                 f"{a},{b}": [c.real, c.imag]
@@ -263,28 +261,22 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
 def estimate_violation(transcript: Transcript, t: BellOperator) -> tuple[float, float]:
     """Empirical violation factor from transcript correlations.
 
-    A round of basis pair (a, b) whose detectors k, k' fired scores W[a, b][k, k']
-    = Re(rotation_phase * C[a, b] * P[k, k']) / (d^2 cos(pi/d)), P the label
-    products: one real (d, d) table per pair.  The estimate sums the pairs' mean
-    scores over the nonzero coefficients C[a, b] in row-major order; a pair whose
-    coefficient is 0 needs no rounds.  The standard error combines the per-pair
-    sample variances of the scores, treating pairs as independent samples.
+    A round of basis pair (a, b) whose detectors k, k' fired scores W[a, b][k, k'],
+    one of ``t.score_tables``.  The estimate sums the pairs' mean scores over the
+    nonzero coefficients C[a, b] in row-major order; a pair whose coefficient is 0
+    needs no rounds.  The standard error combines the per-pair sample variances of
+    the scores, treating pairs as independent samples.
     """
-    d = t.d
-    shape = transcript.settings.phase_tables[0].shape
-    if shape != (d, d):
-        raise DimensionMismatchError(f"transcript tables {shape} != operator's ({d}, {d})")
-    by_pair, entries = transcript.pair_rounds, t.entries()
-    starved = [(a, b) for a, b, _ in entries if (a, b) not in by_pair]
+    if (shape := transcript.settings.phase_tables[0].shape) != (t.d, t.d):
+        raise DimensionMismatchError(f"transcript tables {shape} != operator's ({t.d}, {t.d})")
+    tables = t.score_tables(transcript.settings.label_convention)
+    starved = [(a, b) for a, b, _ in tables if (a, b) not in transcript.pair_rounds]
     if starved:
         raise InsufficientDataError(starved)
 
-    products = transcript.settings.label_convention.products(d)
     v_hat = variance = 0.0
-    for a, b, c in entries:
-        # W[a, b], one entry at a time: one product over all of C could move last bits
-        scores = (rotation_phase(d) * c * products).real / classical_norm(d)
-        idx = by_pair[a, b]
+    for a, b, scores in tables:
+        idx = transcript.pair_rounds[a, b]
         contrib = scores[transcript.k[idx], transcript.kp[idx]]
         v_hat += float(contrib.mean())
         if len(idx) > 1:

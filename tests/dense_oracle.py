@@ -19,7 +19,9 @@ summary's correlations and the violation estimate computed from those
 products, which the table lookups of ``summarize`` and ``estimate_violation``
 must match bit for bit.
 ``lhv_max_loop`` is the local-realism maximum one deterministic strategy at
-a time.
+a time.  ``rotation_phase`` and ``classical_norm`` compute the hCHSH-d
+constants here, not from the ``BellOperator`` under test, so every oracle
+stays independent of its attributes.
 """
 import itertools
 
@@ -27,15 +29,20 @@ import numpy as np
 
 from quditbell.algebra import complex_product
 from quditbell.bell import (
-    CANONICAL_EXPONENTS,
-    assignment_candidates,
-    classical_norm,
-    exponent_basis,
-    reference_theta,
-    rotation_phase,
+    CANONICAL_EXPONENTS, assignment_candidates, exponent_basis, reference_theta
 )
 from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
 from quditbell.protocol import InsufficientDataError
+
+
+def rotation_phase(d: int) -> complex:
+    """e^{i pi/d}."""
+    return np.exp(1j * np.pi / d)
+
+
+def classical_norm(d: int) -> float:
+    """The local bound d^2 cos(pi/d)."""
+    return d * d * np.cos(np.pi / d)
 
 
 def observables(basis, party: int) -> list:

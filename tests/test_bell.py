@@ -26,7 +26,6 @@ from quditbell.bell import (
     assignment_candidates,
     builtin_operator,
     canonical_basis,
-    classical_norm,
     exponent_basis,
     lhv_max,
     monomial_observables,
@@ -34,7 +33,6 @@ from quditbell.bell import (
     phase_table_polys,
     protocol_basis,
     reference_theta,
-    rotation_phase,
     theta_scan,
     violation,
     violation_stack,
@@ -109,7 +107,7 @@ def operator_from_polys(d: int, polys: dict) -> BellOperator:
     return BellOperator(d, c)
 
 
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("d", range(3, 7))
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_phase_table_operator_is_sharp(d, data):
@@ -126,8 +124,16 @@ def test_phase_table_operator_is_sharp(d, data):
     assert np.abs(np.abs(values) - d * d).max() < 1e-9
     assert np.abs((values / (d * d)) ** d - 1).max() < 1e-9
     assert np.abs(values / (d * d) - roots[(g[r, s] - p - q) % d]).max() < 1e-9
-    if d >= 3:  # at d = 2, cos(pi/2) ~ 6e-17 makes classical_norm ~ 0
-        assert lhv_max(t) <= 1 + 1e-12
+    assert lhv_max(t) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_operator_rejects_d_below_3(d):
+    """At d = 2 the local bound d^2 cos(pi/d) is 2.4e-16, so every score it
+    normalised was rounding noise: lhv_max of an all-ones C gave 5.0."""
+    message = f"^hCHSH-d Bell operators need d >= 3, got {d}$"
+    with pytest.raises(InvalidDimensionError, match=message):
+        BellOperator(d, np.ones((d, d)))
 
 
 def test_builtin_operator_rejects_other_dimensions():
@@ -271,7 +277,7 @@ def test_violation_builds_each_observable_table_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(bell, "party_phase_table", counting)
-    for d in range(2, 10):
+    for d in range(3, 10):
         calls.clear()
         t = BellOperator(d, np.ones((d, d)))
         basis = canonical_basis(d)
@@ -416,9 +422,12 @@ def test_protocol_basis_violation(d, expected):
 
 
 def test_scaled_inequality_components():
-    d = 3
-    assert abs(rotation_phase(d) - np.exp(1j * np.pi / 3)) < 1e-15
-    assert abs(classical_norm(d) - 9 * np.cos(np.pi / 3)) < 1e-12
+    t = builtin_operator(3)
+    assert abs(t.rotation_phase - np.exp(1j * np.pi / 3)) < 1e-15
+    assert abs(t.classical_norm - 9 * np.cos(np.pi / 3)) < 1e-12
+    for name in ("rotation_phase", "classical_norm"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 1.0)
 
 
 def test_coefficient_table_json_round_trip():
@@ -466,7 +475,7 @@ def draw_operator(d: int, data) -> BellOperator:
     return BellOperator(d, c)
 
 
-@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("d", range(3, 10))
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_violation_equals_kron_route_exactly(d, data):
@@ -506,7 +515,7 @@ def test_stacked_tables_equal_loop_bytes(d, data):
             assert (obs.label_convention is LabelConvention.CONJUGATE) == conjugate
 
 
-@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("d", range(3, 10))
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_violation_stack_equals_kron_route_per_basis(d, data):

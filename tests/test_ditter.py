@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from quditbell.algebra import (
     DimensionMismatchError,
     EntangledState,
+    InvalidDimensionError,
     fourier_matrix,
     make_state,
     maximally_entangled,
@@ -79,6 +80,29 @@ def test_phase_vector_requires_unit_modulus():
 def test_validators_reject_nan(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: power_observable(geometric_phases(5, 1j, 1), 2), ExponentConstraintError,
+         "exponent 1 or 4, got 2"),
+        (lambda: PhaseVector(3, np.ones(4)), DimensionMismatchError,
+         r"expected 3 phases, got shape \(4,\)"),
+        (lambda: make_state(1, [1]), InvalidDimensionError, "need dimension >= 2, got 1"),
+        (lambda: make_state(3, [1, 1]), DimensionMismatchError,
+         r"expected 3 coefficients, got shape \(2,\)"),
+    ],
+    ids=["power-exponent", "phase-vector-length", "state-dimension", "state-length"],
+)
+def test_validators_reject_bad_dimensions_and_exponents(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_power_1_is_the_plain_ditter():
+    phases = random_phases(5, np.random.default_rng(5))
+    assert np.array_equal(power_observable(phases, 1).matrix, ditter_observable(phases).matrix)
 
 
 def test_conjugate_label_convention_is_adjoint():

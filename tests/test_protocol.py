@@ -4,15 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from quditbell import cli, protocol
 from quditbell.algebra import (
-    DimensionMismatchError, fourier_matrix, make_state, maximally_entangled, psi3, psi5
+    DimensionMismatchError, fourier_matrix, make_state, maximally_entangled, psi3, psi4, psi5
 )
 from quditbell.bell import (
     BasisAssignment,
     builtin_operator,
-    classical_norm,
     exponent_basis,
     protocol_basis,
-    rotation_phase,
     violation,
 )
 from quditbell.ditter import (
@@ -34,7 +32,7 @@ from quditbell.protocol import (
     write_transcript_csv,
 )
 
-from dense_oracle import ndeb_observables, observables
+from dense_oracle import classical_norm, ndeb_observables, observables, rotation_phase
 
 
 def test_config_validation():
@@ -168,21 +166,17 @@ def test_estimate_violation_stub_records():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_score_tables_average_to_the_violation(d, data):
-    """The expected estimate: each pair's scores W[a, b] = Re(rotation_phase
-    * C[a, b] * P) / (d^2 cos(pi/d)), P the label products, summed against the
-    pair's exact outcome table, add up to violation() for drawn states and bases."""
+    """The expected estimate: each pair's scores W[a, b] of t.score_tables, summed
+    against the pair's exact outcome table, add up to violation() for drawn states
+    and bases."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
     exponents = tuple(data.draw(st.integers(-3, 3)) for _ in range(4))
     basis = exponent_basis(d, exponents, np.exp(1j * data.draw(st.floats(0, 2 * np.pi))))
     t = builtin_operator(d)
-    products = basis.label_convention.products(d)
     alice, bob = (ditter_unitaries(table) for table in basis.phase_tables)
-    expected = sum(
-        ((rotation_phase(d) * c * products).real / classical_norm(d)
-         * outcome_distribution(state, alice[a], bob[b])).sum()
-        for a, b, c in t.entries()
-    )
+    expected = sum((scores * outcome_distribution(state, alice[a], bob[b])).sum()
+                   for a, b, scores in t.score_tables(basis.label_convention))
     assert abs(expected - violation(state, t, basis)) <= 1e-12
 
 
@@ -202,6 +196,16 @@ def test_estimate_violation_rejects_settings_it_does_not_match(d):
     config = ProtocolConfig(d=d, state=maximally_entangled(d), rounds=2_000, mode=NDEB_MODE)
     with pytest.raises(DimensionMismatchError, match=rf"\(4, {d}\) != operator's \({d}, {d}\)"):
         estimate_violation(sample_rounds(config), builtin_operator(d))
+
+
+def test_estimate_violation_scores_an_ndeb_transcript_at_d_4():
+    """At d = 4 NDEB's 4 bases per party match the operator's (4, 4) shape, so its
+    rounds are scored, in NDEB's own bases: the estimate tracks violation() there."""
+    config = ProtocolConfig(d=4, state=psi4(), rounds=20_000, mode=NDEB_MODE)
+    t = builtin_operator(4)
+    v_hat, stderr = estimate_violation(sample_rounds(config), t)
+    assert stderr > 0
+    assert abs(v_hat - violation(psi4(), t, config.settings)) < 5 * stderr
 
 
 def test_states_configs_and_phases_compare_by_identity():

@@ -23,9 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditbell import cli
 from quditbell.algebra import DimensionMismatchError, maximally_entangled, psi3, psi4, psi5
-from quditbell.bell import (
-    BasisAssignment, BellOperator, builtin_operator, classical_norm, rotation_phase, theta_scan
-)
+from quditbell.bell import BasisAssignment, BellOperator, builtin_operator, theta_scan
 from quditbell.ditter import LabelConvention
 from quditbell.protocol import (
     HDDEB_MODE,
@@ -40,7 +38,9 @@ from quditbell.protocol import (
     transcript_csv_string,
 )
 
-from dense_oracle import estimate_violation_loop, pair_correlations_loop
+from dense_oracle import (
+    classical_norm, estimate_violation_loop, pair_correlations_loop, rotation_phase
+)
 
 CASES = {
     "criterion-10": dict(d=3, state=psi3, noise=0.2, rounds=100_000, seed=10, mode=HDDEB_MODE),
@@ -296,6 +296,12 @@ def test_no_round_sifted():
     summary = summarize(transcript)
     assert summary.sift_rate == 0.0 and not summary.agreement_defined
 
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads(summary.to_json(), parse_constant=not_json)["agreement_rate"] is None
+    assert np.isnan(summary.agreement_rate)
+
 
 @st.composite
 def random_transcripts(draw) -> Transcript:
@@ -404,12 +410,23 @@ def test_estimate_needs_no_rounds_where_the_coefficient_is_zero(d, data):
     assert err.value.pairs == (divmod(dropped, d),)
 
 
+def test_matched_rounds_feed_the_estimate():
+    """Every built-in C has a nonzero diagonal, so the matched-basis rounds that
+    sift turns into key are scored too: without them no estimate is possible."""
+    config = ProtocolConfig(d=3, state=psi3(), rounds=3_000, rng_seed=4)
+    transcript, _ = run_protocol(config)
+    with pytest.raises(InsufficientDataError) as err:
+        estimate_violation(keep_rounds(transcript, transcript.a != transcript.b),
+                           builtin_operator(3))
+    assert err.value.pairs == ((0, 0), (1, 1), (2, 2))
+
+
 @st.composite
 def scored_transcripts(draw) -> tuple[Transcript, BellOperator]:
-    """A transcript over d bases per party, d = 2..6, under either label
+    """A transcript over d bases per party, d = 3..6, under either label
     convention, and a sparse complex C: some pairs drawn enough rounds, some
     left with none."""
-    d = draw(st.integers(2, 6))
+    d = draw(st.integers(3, 6))
     convention = draw(st.sampled_from(LabelConvention))
     n = draw(st.just(20 * d * d) | st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
