@@ -20,8 +20,9 @@ from quditbell import (
 )
 
 
-def show_run(d, state, rounds=50_000, noise=0.0, seed=42):
-    config = ProtocolConfig(d=d, state=state, noise=noise, rounds=rounds, rng_seed=seed)
+def show_run(state, rounds=50_000, noise=0.0, seed=42):
+    d = state.d
+    config = ProtocolConfig(state=state, noise=noise, rounds=rounds, rng_seed=seed)
     transcript, summary = run_protocol(config)
     print(f"d = {d}, rounds = {rounds}, noise = {noise}")
     print(f"  sift rate       {summary.sift_rate:.4f}   (expect ~1/{d} = {1 / d:.4f})")
@@ -35,13 +36,13 @@ def show_run(d, state, rounds=50_000, noise=0.0, seed=42):
 
 def main():
     print("== noiseless run, maximally entangled qutrits ==")
-    show_run(3, maximally_entangled(3))
+    show_run(maximally_entangled(3))
 
     print("== 20% isotropic noise: correlations shrink by the same factor ==")
-    show_run(3, maximally_entangled(3), noise=0.2)
+    show_run(maximally_entangled(3), noise=0.2)
 
     print("== non-uniform Schmidt phases: sifted keys are no longer perfect ==")
-    summary = show_run(5, psi5())
+    summary = show_run(psi5())
     spectrum = correlation_spectrum(psi5())
     print("matched-basis correlation spectrum P(k+k' = m mod 5):")
     for m, p in enumerate(spectrum):

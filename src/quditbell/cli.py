@@ -85,7 +85,7 @@ def parse_state(spec: str, d: int) -> algebra.EntangledState:
     if spec.startswith("mixed:"):
         raise ValidationError(f"--state {spec} is for violation only; simulate takes --noise")
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError:
         raise ValidationError(f"unknown state spec {spec!r}") from None
@@ -192,7 +192,7 @@ def _check_output_paths(args) -> None:
 def _write(pieces, out: str | None) -> None:
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise ValidationError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
@@ -246,7 +246,6 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     state = parse_state(args.state, d)
     config = protocol.ProtocolConfig(
-        d=d,
         state=state,
         noise=args.noise,
         theta=parse_theta(args.theta),
@@ -264,8 +263,8 @@ def cmd_simulate(args) -> int:
             "rounds": config.rounds,
             "noise": config.noise,
             "sift_rate": summary.sift_rate,
-            "agreement_rate": summary.agreement_rate if summary.agreement_defined else None,
-            "agreement_defined": summary.agreement_defined,
+            "agreement_rate": summary.agreement_rate,
+            "agreement_defined": summary.agreement_rate is not None,
             "key_length": len(summary.key_alice),
         }
         if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:

@@ -55,7 +55,6 @@ class InsufficientDataError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
-    d: int
     state: EntangledState
     noise: float = 0.0
     theta: complex | None = None
@@ -64,10 +63,6 @@ class ProtocolConfig:
     mode: str = HDDEB_MODE
 
     def __post_init__(self):
-        if self.state.d != self.d:
-            raise DimensionMismatchError(
-                f"state dimension {self.state.d} != config dimension {self.d}"
-            )
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise fraction must be in [0, 1], got {self.noise}")
         if self.rounds < 1:
@@ -80,11 +75,12 @@ class ProtocolConfig:
         """Both parties' settings, built once per config.  hdDEB: protocol_basis(d, theta),
         read by violation too; NDEB: 4 geometric bases with standard labels, Bob's in the
         conjugate family, so matched bases give k + k' = 0 mod d."""
+        d = self.state.d
         if self.mode == HDDEB_MODE:
-            return protocol_basis(self.d, self.theta)
-        theta = self.theta if self.theta is not None else reference_theta(self.d)
+            return protocol_basis(d, self.theta)
+        theta = self.theta if self.theta is not None else reference_theta(d)
         exponents = np.arange(4)[:, np.newaxis]  # row a: basis a's exponent
-        tables = (geometric_phases(self.d, theta, exponents, sign).thetas for sign in (+1, -1))
+        tables = (geometric_phases(d, theta, exponents, sign).thetas for sign in (+1, -1))
         return BasisAssignment(tuple(tables), LabelConvention.STANDARD)
 
 
@@ -117,6 +113,8 @@ class Transcript:
             column = np.asarray(getattr(self, name))
             if len(shape) != 1 or column.shape != shape:
                 raise ValueError("transcript columns must be one-dimensional and of equal length")
+            if len(column) and not np.issubdtype(column.dtype, np.integer):
+                raise ValueError(f"column {name} must hold integers, not {column.dtype}")
             if len(column) and (column.min() < 0 or column.max() >= bound):
                 raise ValueError(f"column {name} out of range [0, {bound})")
             column = column.astype(dtype)
@@ -132,7 +130,7 @@ class Transcript:
 
     @cached_property
     def pair_rounds(self) -> dict[tuple[int, int], np.ndarray]:
-        """The pair index: ``_pair_rounds`` of the basis columns, built once."""
+        """The pair index: ``_pair_rounds`` of the basis columns, or the sampler's own."""
         return _pair_rounds(self.a, self.b, len(self.settings.phase_tables[0]))
 
 
@@ -157,19 +155,18 @@ class TranscriptSummary:
     sift_rate: float
     key_alice: tuple[int, ...]
     key_bob: tuple[int, ...]
-    agreement_rate: float
-    agreement_defined: bool
+    agreement_rate: float | None
     pair_correlations: dict[tuple[int, int], complex]
     pair_counts: dict[tuple[int, int], int]
 
     def to_dict(self) -> dict:
-        """JSON-friendly rendering: complex correlations as [re, im], an undefined rate as None."""
+        """JSON-friendly rendering: complex correlations as [re, im], no rate as None."""
         return {
             "sift_rate": self.sift_rate,
             "key_alice": list(self.key_alice),
             "key_bob": list(self.key_bob),
-            "agreement_rate": self.agreement_rate if self.agreement_defined else None,
-            "agreement_defined": self.agreement_defined,
+            "agreement_rate": self.agreement_rate,
+            "agreement_defined": self.agreement_rate is not None,
             "pair_correlations": {
                 f"{a},{b}": [c.real, c.imag]
                 for (a, b), c in sorted(self.pair_correlations.items())
@@ -190,9 +187,10 @@ def sample_rounds(config: ProtocolConfig) -> Transcript:
     detector outcomes are sampled from the exact joint distribution of the
     noisy state N I/d^2 + (1 - N)|psi><psi| under the chosen ditter pair,
     which is (1 - N) |U_A diag(delta) U_B^T|^2 + N/d^2 for N = config.noise.
-    The transcript is a deterministic function of the configuration.
+    The transcript, whose pair index is the sampler's, is a deterministic
+    function of the configuration.
     """
-    d, settings = config.d, config.settings
+    d, settings = config.state.d, config.settings
     alice_u, bob_u = (ditter_unitaries(table) for table in settings.phase_tables)
     n_bases = len(alice_u)
 
@@ -203,12 +201,14 @@ def sample_rounds(config: ProtocolConfig) -> Transcript:
 
     # each drawn basis pair samples its rounds from its exact joint distribution
     flat = np.empty(config.rounds, dtype=np.intp)  # detector pair k * d + k'
-    for (a, b), idx in _pair_rounds(a_draws, b_draws, n_bases).items():
+    for (a, b), idx in (pairs := _pair_rounds(a_draws, b_draws, n_bases)).items():
         pure = outcome_distribution(config.state, alice_u[a], bob_u[b])
         cdf = np.cumsum(((1.0 - config.noise) * pure + config.noise / (d * d)).ravel())
         flat[idx] = np.minimum(np.searchsorted(cdf, u_draws[idx], side="right"), d * d - 1)
 
-    return Transcript(settings, a_draws, b_draws, flat // d, flat % d)
+    transcript = Transcript(settings, a_draws, b_draws, flat // d, flat % d)
+    object.__setattr__(transcript, "pair_rounds", pairs)  # its narrowed columns' index too
+    return transcript
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]:
@@ -216,28 +216,28 @@ def run_protocol(config: ProtocolConfig) -> tuple[Transcript, TranscriptSummary]
     return (transcript := sample_rounds(config)), summarize(transcript)
 
 
-def sift(transcript: Transcript) -> tuple[tuple[int, ...], tuple[int, ...], float, bool]:
+def sift(transcript: Transcript) -> tuple[tuple[int, ...], tuple[int, ...], float | None]:
     """Extract the key from the transcript's matched-basis rounds (a == b).
 
     Alice's dit is her detector index k; Bob's is (d - k') mod d, so the
     perfect-correlation support k + k' = 0 mod d turns into equal dits.
-    Returns (key_alice, key_bob, agreement_rate, agreement_defined); the rate
-    is flagged undefined when no round survives sifting.
+    Returns (key_alice, key_bob, agreement_rate); the rate is None when no
+    round survives sifting.
     """
     d = transcript.d
     matched = transcript.a == transcript.b
     key_a = transcript.k[matched].astype(np.intp)
     key_b = (d - transcript.kp[matched].astype(np.intp)) % d
     if not len(key_a):
-        return (), (), float("nan"), False
+        return (), (), None
     agree = int(np.count_nonzero(key_a == key_b)) / len(key_a)
-    return tuple(key_a.tolist()), tuple(key_b.tolist()), agree, True
+    return tuple(key_a.tolist()), tuple(key_b.tolist()), agree
 
 
 def summarize(transcript: Transcript) -> TranscriptSummary:
-    """Sift the transcript and tabulate, per basis pair (a, b), the round
-    count and the mean outcome-label product alice * bob, P[k, k']."""
-    key_a, key_b, agreement, defined = sift(transcript)
+    """Sift the transcript (agreement rate None if nothing is sifted) and tabulate, per
+    basis pair (a, b) of ``pair_rounds``, the round count and the mean label product P[k, k']."""
+    key_a, key_b, agreement = sift(transcript)
     products = transcript.settings.label_convention.products(transcript.d)
     correlations: dict[tuple[int, int], complex] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -252,7 +252,6 @@ def summarize(transcript: Transcript) -> TranscriptSummary:
         key_alice=key_a,
         key_bob=key_b,
         agreement_rate=agreement,
-        agreement_defined=defined,
         pair_correlations=correlations,
         pair_counts=counts,
     )

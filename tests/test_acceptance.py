@@ -136,7 +136,7 @@ def test_criterion_07_lhv_bound():
 def test_criterion_08_sifting():
     rounds = 10_000
     config = ProtocolConfig(
-        d=3, state=qb.maximally_entangled(3), noise=0.0, rounds=rounds, rng_seed=7
+        state=qb.maximally_entangled(3), noise=0.0, rounds=rounds, rng_seed=7
     )
     _, summary = run_protocol(config)
     p = 1 / 3
@@ -157,7 +157,7 @@ def test_criterion_09_correlation_spectrum():
     analytic_ok = abs(spec[0] - 17 / 25) < 1e-12
     rounds = 100_000
     _, summary = run_protocol(
-        ProtocolConfig(d=5, state=qb.psi5(), rounds=rounds, rng_seed=9)
+        ProtocolConfig(state=qb.psi5(), rounds=rounds, rng_seed=9)
     )
     n = len(summary.key_alice)
     se = np.sqrt(spec[0] * (1 - spec[0]) / n)
@@ -180,7 +180,7 @@ def test_criterion_10_noise_linearity():
         for n in np.arange(0.0, 0.91, 0.1)
     )
     records, _ = run_protocol(
-        ProtocolConfig(d=d, state=state, noise=0.2, rounds=100_000, rng_seed=10)
+        ProtocolConfig(state=state, noise=0.2, rounds=100_000, rng_seed=10)
     )
     v_hat, stderr = estimate_violation(records, t)
     target = 0.8 * violation(state, t, protocol_basis(d))
@@ -195,7 +195,7 @@ def test_criterion_10_noise_linearity():
 
 def test_criterion_11_determinism():
     config = ProtocolConfig(
-        d=4, state=qb.maximally_entangled(4), noise=0.1, rounds=5_000, rng_seed=123
+        state=qb.maximally_entangled(4), noise=0.1, rounds=5_000, rng_seed=123
     )
     r1, s1 = run_protocol(config)
     r2, s2 = run_protocol(config)

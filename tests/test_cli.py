@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -476,7 +479,7 @@ def test_simulate_summarizes_only_outside_csv(fmt, summaries, monkeypatch, capsy
     assert code == 0
     assert len(calls) == summaries
     if fmt == "csv":
-        config = protocol.ProtocolConfig(d=5, state=cli.parse_state("psi5", 5), rounds=2000,
+        config = protocol.ProtocolConfig(state=cli.parse_state("psi5", 5), rounds=2000,
                                          rng_seed=4)
         assert out == protocol.transcript_csv_string(protocol.run_protocol(config)[0])
 
@@ -604,6 +607,50 @@ def test_malformed_state_file_exits_2(payload, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,state_file,message",
+    [
+        (["spectrum", "--d", "3"], b'{"d": 3, "deltas": [', "is not valid JSON: "),
+        (["spectrum", "--d", "3"], b'{"d": 3, "deltas": "\xff"}', "is not valid JSON: "),
+        (["spectrum", "--d", "3"], b'{"d": 4, "deltas": [[1, 0]]}',
+         "state file dimension 4 != --d 3"),
+        (["violation", "--d", "3", "--state", "mixed:abc"], None,
+         "bad noise fraction in 'mixed:abc'"),
+        (["violation", "--d", "3", "--state", "mixed:1.5"], None,
+         "noise fraction must be in [0, 1], got 1.5"),
+        (["violation", "--d", "3", "--theta", "abc"], None,
+         "--theta must be a real angle in radians, got 'abc'"),
+    ],
+    ids=["not-json", "not-utf8", "dimension", "mixed-not-a-number", "mixed-out-of-range",
+         "theta-not-a-number"],
+)
+def test_validation_message(argv, state_file, message, tmp_path, capsys):
+    if state_file is not None:
+        path = tmp_path / "state.json"
+        path.write_bytes(state_file)
+        argv = [*argv, "--state", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_out_file_is_utf8_under_an_ascii_locale(tmp_path, capsys):
+    """spectrum's text holds an em dash; under LC_ALL=C without UTF-8 mode, --out
+    once failed to encode it, exited 2 and left an empty file behind."""
+    path = tmp_path / "ascii.txt"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+    argv = ["spectrum", "--d", "5", "--state", "psi5", "--out"]
+    done = subprocess.run([sys.executable, "-m", "quditbell.cli", *argv, str(path)],
+                          env=env, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert run_cli(capsys, *argv, str(tmp_path / "utf8.txt")) == (0, "", "")
+    assert path.read_bytes() == (tmp_path / "utf8.txt").read_bytes()
+    assert "\u2014".encode() in path.read_bytes()
 
 
 SECURITY_TEXT = """\

@@ -38,29 +38,27 @@ from dense_oracle import classical_norm, ndeb_observables, observables, rotation
 def test_config_validation():
     state = maximally_entangled(3)
     with pytest.raises(ValueError):
-        ProtocolConfig(d=3, state=state, noise=1.5)
+        ProtocolConfig(state=state, noise=1.5)
     with pytest.raises(ValueError):
-        ProtocolConfig(d=3, state=state, rounds=0)
+        ProtocolConfig(state=state, rounds=0)
     with pytest.raises(ValueError):
-        ProtocolConfig(d=3, state=state, mode="other")
-    with pytest.raises(ValueError):
-        ProtocolConfig(d=4, state=state)
+        ProtocolConfig(state=state, mode="other")
     for mode, bases in ((HDDEB_MODE, 3), (NDEB_MODE, 4)):
-        settings = ProtocolConfig(d=3, state=state, mode=mode).settings
+        settings = ProtocolConfig(state=state, mode=mode).settings
         assert [table.shape for table in settings.phase_tables] == [(bases, 3)] * 2
 
 
 def test_perfect_sifted_agreement_max_entangled():
-    config = ProtocolConfig(d=3, state=maximally_entangled(3), rounds=10_000, rng_seed=11)
+    config = ProtocolConfig(state=maximally_entangled(3), rounds=10_000, rng_seed=11)
     records, summary = run_protocol(config)
-    assert summary.agreement_defined
+    assert summary.agreement_rate is not None
     assert summary.agreement_rate == 1.0
     assert summary.key_alice == summary.key_bob
 
 
 def test_sift_rate_near_one_over_d():
     rounds = 20_000
-    config = ProtocolConfig(d=5, state=maximally_entangled(5), rounds=rounds, rng_seed=3)
+    config = ProtocolConfig(state=maximally_entangled(5), rounds=rounds, rng_seed=3)
     _, summary = run_protocol(config)
     p = 1 / 5
     se = np.sqrt(p * (1 - p) / rounds)
@@ -70,7 +68,7 @@ def test_sift_rate_near_one_over_d():
 def test_ndeb_mode_sift_rate_and_agreement():
     rounds = 20_000
     config = ProtocolConfig(
-        d=3, state=maximally_entangled(3), rounds=rounds, rng_seed=9, mode=NDEB_MODE
+        state=maximally_entangled(3), rounds=rounds, rng_seed=9, mode=NDEB_MODE
     )
     _, summary = run_protocol(config)
     se = np.sqrt(0.25 * 0.75 / rounds)
@@ -88,20 +86,20 @@ def test_sift_dit_mapping():
     # round 0: k + k' = 0 mod 3 -> agree; round 1: mismatched bases -> dropped;
     # round 2: k + k' = 2 mod 3 -> disagree
     transcript = standard_transcript(3, a=[1, 0, 2], b=[1, 2, 2], k=[2, 0, 1], kp=[1, 0, 1])
-    key_a, key_b, rate, defined = sift(transcript)
+    key_a, key_b, rate = sift(transcript)
     assert key_a == (2, 1)
     assert key_b == (2, 2)
-    assert defined and rate == 0.5
+    assert rate == 0.5
 
 
 def test_sift_empty_records():
-    key_a, key_b, rate, defined = sift(standard_transcript(3, [], [], [], []))
+    key_a, key_b, rate = sift(standard_transcript(3, [], [], [], []))
     assert key_a == () and key_b == ()
-    assert not defined and np.isnan(rate)
+    assert rate is None
 
 
 def test_transcript_determinism():
-    config = ProtocolConfig(d=3, state=maximally_entangled(3), rounds=2_000, rng_seed=42)
+    config = ProtocolConfig(state=maximally_entangled(3), rounds=2_000, rng_seed=42)
     r1, s1 = run_protocol(config)
     r2, s2 = run_protocol(config)
     assert transcript_csv_string(r1) == transcript_csv_string(r2)
@@ -110,13 +108,13 @@ def test_transcript_determinism():
 
 def test_different_seeds_differ():
     state = maximally_entangled(3)
-    r1, _ = run_protocol(ProtocolConfig(d=3, state=state, rounds=500, rng_seed=1))
-    r2, _ = run_protocol(ProtocolConfig(d=3, state=state, rounds=500, rng_seed=2))
+    r1, _ = run_protocol(ProtocolConfig(state=state, rounds=500, rng_seed=1))
+    r2, _ = run_protocol(ProtocolConfig(state=state, rounds=500, rng_seed=2))
     assert transcript_csv_string(r1) != transcript_csv_string(r2)
 
 
 def test_round_labels_are_roots_of_unity():
-    config = ProtocolConfig(d=4, state=maximally_entangled(4), rounds=200, rng_seed=0)
+    config = ProtocolConfig(state=maximally_entangled(4), rounds=200, rng_seed=0)
     transcript, _ = run_protocol(config)
     convention = transcript.settings.label_convention
     assert np.abs(convention.labels(4)**4 - 1).max() < 1e-9
@@ -128,7 +126,7 @@ def test_estimate_violation_matches_analytic():
     d = 3
     state = maximally_entangled(d)
     t = builtin_operator(d)
-    config = ProtocolConfig(d=d, state=state, rounds=100_000, rng_seed=17)
+    config = ProtocolConfig(state=state, rounds=100_000, rng_seed=17)
     records, _ = run_protocol(config)
     v_hat, stderr = estimate_violation(records, t)
     analytic = violation(state, t, protocol_basis(d))
@@ -140,7 +138,7 @@ def test_estimate_violation_under_noise():
     d = 3
     state = maximally_entangled(d)
     t = builtin_operator(d)
-    config = ProtocolConfig(d=d, state=state, noise=0.2, rounds=100_000, rng_seed=23)
+    config = ProtocolConfig(state=state, noise=0.2, rounds=100_000, rng_seed=23)
     records, _ = run_protocol(config)
     v_hat, stderr = estimate_violation(records, t)
     analytic = 0.8 * violation(state, t, protocol_basis(d))
@@ -193,7 +191,7 @@ def test_estimate_violation_insufficient_data():
 def test_estimate_violation_rejects_settings_it_does_not_match(d):
     """NDEB's 4 bases per party are not the operator's d: at d = 3 this once gave
     a number, at d = 5 an InsufficientDataError."""
-    config = ProtocolConfig(d=d, state=maximally_entangled(d), rounds=2_000, mode=NDEB_MODE)
+    config = ProtocolConfig(state=maximally_entangled(d), rounds=2_000, mode=NDEB_MODE)
     with pytest.raises(DimensionMismatchError, match=rf"\(4, {d}\) != operator's \({d}, {d}\)"):
         estimate_violation(sample_rounds(config), builtin_operator(d))
 
@@ -201,7 +199,7 @@ def test_estimate_violation_rejects_settings_it_does_not_match(d):
 def test_estimate_violation_scores_an_ndeb_transcript_at_d_4():
     """At d = 4 NDEB's 4 bases per party match the operator's (4, 4) shape, so its
     rounds are scored, in NDEB's own bases: the estimate tracks violation() there."""
-    config = ProtocolConfig(d=4, state=psi4(), rounds=20_000, mode=NDEB_MODE)
+    config = ProtocolConfig(state=psi4(), rounds=20_000, mode=NDEB_MODE)
     t = builtin_operator(4)
     v_hat, stderr = estimate_violation(sample_rounds(config), t)
     assert stderr > 0
@@ -212,9 +210,9 @@ def test_states_configs_and_phases_compare_by_identity():
     """Equality and hashing on dataclasses holding an array once raised
     ("truth value of an array is ambiguous", "unhashable type")."""
     state = psi3()
-    config = ProtocolConfig(d=3, state=state)
+    config = ProtocolConfig(state=state)
     phases = geometric_phases(3, 1j, 1)
-    for obj, twin in [(state, psi3()), (config, ProtocolConfig(d=3, state=state)),
+    for obj, twin in [(state, psi3()), (config, ProtocolConfig(state=state)),
                       (phases, geometric_phases(3, 1j, 1))]:
         assert obj == obj and obj != twin
         assert hash(obj) == hash(obj)
@@ -253,7 +251,7 @@ def test_correlation_spectrum_random_state_sums_to_one():
 
 def test_sifted_agreement_matches_spectrum_psi5():
     rounds = 100_000
-    config = ProtocolConfig(d=5, state=psi5(), rounds=rounds, rng_seed=29)
+    config = ProtocolConfig(state=psi5(), rounds=rounds, rng_seed=29)
     _, summary = run_protocol(config)
     p0 = correlation_spectrum(psi5())[0]
     n_sift = len(summary.key_alice)
@@ -265,10 +263,10 @@ def test_noisy_pair_correlations_scale():
     d = 3
     state = maximally_entangled(d)
     noise = 0.4
-    config = ProtocolConfig(d=d, state=state, noise=noise, rounds=200_000, rng_seed=31)
+    config = ProtocolConfig(state=state, noise=noise, rounds=200_000, rng_seed=31)
     records, summary = run_protocol(config)
     clean, clean_summary = run_protocol(
-        ProtocolConfig(d=d, state=state, rounds=200_000, rng_seed=31)
+        ProtocolConfig(state=state, rounds=200_000, rng_seed=31)
     )
     for pair, e_noisy in summary.pair_correlations.items():
         e_clean = clean_summary.pair_correlations[pair]
@@ -276,7 +274,7 @@ def test_noisy_pair_correlations_scale():
 
 
 def test_transcript_csv_export(tmp_path):
-    config = ProtocolConfig(d=3, state=maximally_entangled(3), rounds=50, rng_seed=1)
+    config = ProtocolConfig(state=maximally_entangled(3), rounds=50, rng_seed=1)
     records, _ = run_protocol(config)
     path = tmp_path / "transcript.csv"
     write_transcript_csv(records, path)
@@ -289,7 +287,7 @@ def test_transcript_csv_export(tmp_path):
 
 
 def test_summarize_counts():
-    config = ProtocolConfig(d=3, state=maximally_entangled(3), rounds=900, rng_seed=2)
+    config = ProtocolConfig(state=maximally_entangled(3), rounds=900, rng_seed=2)
     records, summary = run_protocol(config)
     assert sum(summary.pair_counts.values()) == 900
     for e in summary.pair_correlations.values():
@@ -335,7 +333,7 @@ def test_sampler_matches_outcome_distribution(d, noise, mode, state_kind):
         alice, bob = ndeb_observables(d)
     pairs = [(a, b) for a in range(len(alice)) for b in range(len(bob))]
     config = ProtocolConfig(
-        d=d, state=state, noise=noise, rounds=1500 * len(pairs), rng_seed=5, mode=mode
+        state=state, noise=noise, rounds=1500 * len(pairs), rng_seed=5, mode=mode
     )
     transcript, summary = run_protocol(config)
     assert sorted(summary.pair_counts) == pairs
@@ -358,7 +356,7 @@ def test_settings_equal_per_basis_observables(d, mode, theta):
     """ProtocolConfig.settings, one BasisAssignment in both modes, holds each
     per-basis observable's phases and labels, and ditter_unitaries each one's
     F @ diag(Theta), byte for byte."""
-    config = ProtocolConfig(d=d, state=maximally_entangled(d), theta=theta, rounds=50, mode=mode)
+    config = ProtocolConfig(state=maximally_entangled(d), theta=theta, rounds=50, mode=mode)
     if mode == HDDEB_MODE:
         basis = protocol_basis(d, theta)
         parties = observables(basis, 0), observables(basis, 1)
@@ -387,13 +385,13 @@ def test_one_round_builds_one_outcome_table(monkeypatch):
         return outcome_distribution(*args)
 
     monkeypatch.setattr(protocol, "outcome_distribution", counting)
-    run_protocol(ProtocolConfig(d=5, state=psi5(), rounds=1))
+    run_protocol(ProtocolConfig(state=psi5(), rounds=1))
     assert len(calls) == 1
 
 
-def test_simulate_groups_rounds_by_pair_twice(monkeypatch, capsys):
-    """Once for sampling, once for the transcript's pair index, which the
-    summary and the violation estimate share."""
+def test_simulate_groups_rounds_by_pair_once(monkeypatch, capsys):
+    """For sampling; the transcript keeps that index as its pair index, which
+    the summary and the violation estimate share."""
     calls = []
     pair_rounds = protocol._pair_rounds
 
@@ -405,7 +403,48 @@ def test_simulate_groups_rounds_by_pair_twice(monkeypatch, capsys):
     argv = ["simulate", "--d", "5", "--state", "psi5", "--rounds", "2000", "--format", "json"]
     assert cli.main(argv) == 0
     assert "violation_estimate" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 2000])
+@pytest.mark.parametrize("mode", [HDDEB_MODE, NDEB_MODE])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_sampled_pair_index_is_that_of_the_stored_columns(d, mode, rounds):
+    """The index sample_rounds hands over, built from its int64 draws, is the one
+    the transcript's narrowed columns give: same pairs in the same order, same bytes."""
+    transcript = sample_rounds(ProtocolConfig(state=maximally_entangled(d), rounds=rounds,
+                                              rng_seed=d, mode=mode))
+    bases = len(transcript.settings.phase_tables[0])
+    rebuilt = protocol._pair_rounds(transcript.a, transcript.b, bases)
+    assert list(transcript.pair_rounds) == list(rebuilt)
+    for pair, idx in rebuilt.items():
+        got = transcript.pair_rounds[pair]
+        assert (got.dtype, got.tobytes()) == (idx.dtype, idx.tobytes())
+
+
+def test_summary_without_sifted_rounds_equals_itself():
+    """No matched round leaves no agreement rate: None, where a NaN made the
+    summary unequal to itself."""
+    transcript = standard_transcript(3, a=[0, 1, 2], b=[1, 2, 0], k=[0, 1, 2], kp=[2, 1, 0])
+    assert summarize(transcript).agreement_rate is None
+    assert summarize(transcript) == summarize(transcript)
+
+
+@pytest.mark.parametrize(
+    "column", [[0.9, 2.99], [1.0, 2.0], [np.nan, 0]], ids=["fraction", "whole", "nan"]
+)
+def test_transcript_rejects_non_integer_columns(column):
+    """A float column was once truncated toward zero, and NaN read as 0."""
+    settings = BasisAssignment((np.ones((3, 3)),) * 2, LabelConvention.STANDARD)
+    with pytest.raises(ValueError, match="column a must hold integers, not float64"):
+        Transcript(settings, column, [1, 0], [2, 0], [0, 1])
+
+
+def test_transcript_accepts_empty_columns():
+    """np.asarray([]) is float64; with no entries there is nothing to truncate."""
+    settings = BasisAssignment((np.ones((3, 3)),) * 2, LabelConvention.STANDARD)
+    transcript = Transcript(settings, [], [], [], [])
+    assert len(transcript) == 0 and transcript.pair_rounds == {}
 
 
 def pair_rounds_unique(a, b, n_b):

@@ -146,7 +146,7 @@ def sha(text: str) -> str:
 
 def config_of(case: dict) -> ProtocolConfig:
     return ProtocolConfig(
-        d=case["d"], state=case["state"](), noise=case["noise"], rounds=case["rounds"],
+        state=case["state"](), noise=case["noise"], rounds=case["rounds"],
         rng_seed=case["seed"], mode=case["mode"],
     )
 
@@ -221,7 +221,7 @@ def rows(transcript: Transcript) -> list[tuple]:
 def oracle(rounds: list[tuple], d: int, t=None):
     key_a = [k for a, b, k, kp, x, y in rounds if a == b]
     key_b = [(d - kp) % d for a, b, k, kp, x, y in rounds if a == b]
-    agree = sum(x == y for x, y in zip(key_a, key_b)) / len(key_a) if key_a else float("nan")
+    agree = sum(x == y for x, y in zip(key_a, key_b)) / len(key_a) if key_a else None
     by_pair: dict[tuple[int, int], list[complex]] = {}
     sums: dict[tuple[int, int], complex] = {}
     for a, b, k, kp, x, y in rounds:
@@ -242,7 +242,7 @@ def oracle(rounds: list[tuple], d: int, t=None):
 
 
 def columnar(transcript: Transcript, t=None):
-    key_a, key_b, agree, _ = sift(transcript)
+    key_a, key_b, agree = sift(transcript)
     summary = summarize(transcript)
     estimate = None
     if t is not None:
@@ -273,7 +273,7 @@ def same(x, y) -> bool:
 )
 def test_columnar_matches_per_round_oracle(d, mode, noise, rounds, seed):
     state = psi5() if d == 5 else maximally_entangled(d)
-    config = ProtocolConfig(d=d, state=state, noise=noise, rounds=rounds, rng_seed=seed, mode=mode)
+    config = ProtocolConfig(state=state, noise=noise, rounds=rounds, rng_seed=seed, mode=mode)
     transcript, summary = run_protocol(config)
     t = builtin_operator(d) if mode == HDDEB_MODE else None
     assert len(transcript) == rounds
@@ -294,13 +294,12 @@ def test_no_round_sifted():
     transcript = Transcript(conjugate, a, b, k, kp)
     assert same(columnar(transcript), oracle(rows(transcript), 3))
     summary = summarize(transcript)
-    assert summary.sift_rate == 0.0 and not summary.agreement_defined
+    assert summary.sift_rate == 0.0 and summary.agreement_rate is None
 
     def not_json(constant):
         raise ValueError(f"{constant} is not JSON")
 
     assert json.loads(summary.to_json(), parse_constant=not_json)["agreement_rate"] is None
-    assert np.isnan(summary.agreement_rate)
 
 
 @st.composite
@@ -332,7 +331,7 @@ def test_columnar_matches_oracle_on_random_transcripts(transcript):
 
 
 def test_transcript_columns_and_dimension_checks():
-    transcript, _ = run_protocol(ProtocolConfig(d=5, state=psi5(), rounds=50, rng_seed=1))
+    transcript, _ = run_protocol(ProtocolConfig(state=psi5(), rounds=50, rng_seed=1))
     for column in (transcript.a, transcript.b, transcript.k, transcript.kp):
         assert column.dtype == np.uint8 and not column.flags.writeable
     with pytest.raises(DimensionMismatchError):
@@ -395,7 +394,7 @@ def test_estimate_needs_no_rounds_where_the_coefficient_is_zero(d, data):
     c = np.array(builtin_operator(d).coefficients)
     c[zero.reshape(d, d)] = 0
     t = BellOperator(d, c)
-    config = ProtocolConfig(d=d, state=maximally_entangled(d), noise=0.1, rounds=40 * d * d,
+    config = ProtocolConfig(state=maximally_entangled(d), noise=0.1, rounds=40 * d * d,
                             rng_seed=data.draw(st.integers(0, 2**16)))
     transcript, _ = run_protocol(config)
     pair = transcript.a.astype(np.intp) * d + transcript.b
@@ -413,7 +412,7 @@ def test_estimate_needs_no_rounds_where_the_coefficient_is_zero(d, data):
 def test_matched_rounds_feed_the_estimate():
     """Every built-in C has a nonzero diagonal, so the matched-basis rounds that
     sift turns into key are scored too: without them no estimate is possible."""
-    config = ProtocolConfig(d=3, state=psi3(), rounds=3_000, rng_seed=4)
+    config = ProtocolConfig(state=psi3(), rounds=3_000, rng_seed=4)
     transcript, _ = run_protocol(config)
     with pytest.raises(InsufficientDataError) as err:
         estimate_violation(keep_rounds(transcript, transcript.a != transcript.b),
