@@ -214,6 +214,15 @@ def protocol_basis(d: int, theta: complex | None = None) -> BasisAssignment:
     return exponent_basis(d, (0, 1, 0, 1), theta)
 
 
+def ndeb_basis(d: int, theta: complex | None = None) -> BasisAssignment:
+    """N-DEB's 4 single-ditter geometric bases per party, row a at exponent a, standard
+    labels, Bob's in the conjugate family: matched bases give k + k' = 0 mod d."""
+    theta = theta if theta is not None else reference_theta(d)
+    exponents = np.arange(4)[:, np.newaxis]  # row a: basis a's exponent
+    tables = (geometric_phases(d, theta, exponents, sign).thetas for sign in (+1, -1))
+    return BasisAssignment(tuple(tables), LabelConvention.STANDARD)
+
+
 def monomial_observables(t: BellOperator, basis: BasisAssignment,
                          slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's factor matrices of the given slices of a stack of n bases,

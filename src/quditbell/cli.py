@@ -168,7 +168,7 @@ def _emit(result: dict, args, text_renderer) -> None:
         output = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         output = text_renderer(result) + "\n"
-    _write([output], args.out)
+    _write([output.encode()], args.out)
 
 
 def _check_output_paths(args) -> None:
@@ -190,14 +190,15 @@ def _check_output_paths(args) -> None:
 
 
 def _write(pieces, out: str | None) -> None:
+    """Write byte pieces to the --out file, or to stdout's bytes under any locale."""
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, "wb") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise ValidationError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.buffer.writelines(pieces)
 
 
 REFERENCE_VIOLATIONS = {3: 1.505, 4: 1.546, 5: 1.574}
@@ -267,10 +268,9 @@ def cmd_simulate(args) -> int:
             "agreement_defined": summary.agreement_rate is not None,
             "key_length": len(summary.key_alice),
         }
-        if config.mode == protocol.HDDEB_MODE and d in bell.BUILTIN_POLYS:
-            t = bell.builtin_operator(d)
-            v_hat, stderr = protocol.estimate_violation(transcript, t)
-            analytic = bell.violation(state, t, config.settings)
+        if config.check is not None:
+            v_hat, stderr = protocol.estimate_violation(transcript, config.check)
+            analytic = bell.violation(state, config.check, config.settings)
             result["violation_estimate"] = v_hat
             result["violation_stderr"] = stderr
             result["violation_analytic_same_basis"] = (1 - config.noise) * analytic
@@ -284,7 +284,7 @@ def cmd_simulate(args) -> int:
             ) from None
         result["transcript_file"] = args.transcript
     if args.format == "csv":
-        _write(map(bytes.decode, protocol._csv_chunks(transcript)), args.out)
+        _write(protocol._csv_chunks(transcript), args.out)
         return EXIT_OK
 
     def render(r):
@@ -397,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10_000)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=[protocol.HDDEB_MODE, protocol.NDEB_MODE],
-                   default=protocol.HDDEB_MODE)
+    p.add_argument("--mode", choices=list(protocol.MODES), default=protocol.HDDEB_MODE)
     p.add_argument("--transcript", default=None, help="also write transcript CSV here")
     p.set_defaults(func=cmd_simulate)
 

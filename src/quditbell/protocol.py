@@ -13,15 +13,15 @@ The summary and the violation estimate find each basis pair's rounds through
 the transcript's pair index and look them up at (k, k') in a (d, d) table:
 the label products P, or the pair's scores W[a, b] (``BellOperator.score_tables``).
 
-Two modes are supported, each with its settings one ``bell.BasisAssignment``:
+A mode is one entry of ``MODES``: its settings builder and its Bell check (or None).
 
-* ``hdDEB``: d bases per party, the a-th basis realizing the homogeneous
-  monomial A1^{d-1-a} A2^a built from conjugate-paired generator phases, so
-  that matched bases are (for uniform Schmidt coefficients) perfectly
-  anti-correlated in detector index: k + k' = 0 mod d.
-* ``NDEB``: 4 single-ditter geometric bases per party (the predecessor
-  protocol's key-generation path); only basis drawing, sifting, and key
-  agreement are simulated — its own Bell check is out of scope.
+* ``hdDEB``: ``bell.protocol_basis``, d bases per party, the a-th realizing the
+  homogeneous monomial A1^{d-1-a} A2^a built from conjugate-paired generator
+  phases, so that matched bases are (for uniform Schmidt coefficients) perfectly
+  anti-correlated in detector index: k + k' = 0 mod d.  Its check is the
+  built-in hCHSH-d operator at d = 3..5, None at any other d.
+* ``NDEB``: ``bell.ndeb_basis``, 4 single-ditter geometric bases per party (the
+  predecessor protocol's key-generation path); its check is None until CGLMP-d.
 """
 from __future__ import annotations
 
@@ -33,11 +33,18 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DimensionMismatchError, EntangledState, roots_of_unity
-from .bell import BasisAssignment, BellOperator, protocol_basis, reference_theta
-from .ditter import LabelConvention, ditter_unitaries, geometric_phases, outcome_distribution
+from .bell import (
+    BUILTIN_POLYS, BasisAssignment, BellOperator, builtin_operator, ndeb_basis, protocol_basis,
+)
+from .ditter import ditter_unitaries, outcome_distribution
 
 HDDEB_MODE = "hdDEB"
 NDEB_MODE = "NDEB"
+#: mode -> (its settings from (d, theta), its Bell check at d, or None: no score)
+MODES = {
+    HDDEB_MODE: (protocol_basis, lambda d: builtin_operator(d) if d in BUILTIN_POLYS else None),
+    NDEB_MODE: (ndeb_basis, lambda d: None),
+}
 _CSV_CHUNK = 65_536  # transcript rounds rendered to CSV at a time
 
 
@@ -67,21 +74,18 @@ class ProtocolConfig:
             raise ValueError(f"noise fraction must be in [0, 1], got {self.noise}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.mode not in (HDDEB_MODE, NDEB_MODE):
-            raise ValueError(f"mode must be {HDDEB_MODE!r} or {NDEB_MODE!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
 
     @cached_property
     def settings(self) -> BasisAssignment:
-        """Both parties' settings, built once per config.  hdDEB: protocol_basis(d, theta),
-        read by violation too; NDEB: 4 geometric bases with standard labels, Bob's in the
-        conjugate family, so matched bases give k + k' = 0 mod d."""
-        d = self.state.d
-        if self.mode == HDDEB_MODE:
-            return protocol_basis(d, self.theta)
-        theta = self.theta if self.theta is not None else reference_theta(d)
-        exponents = np.arange(4)[:, np.newaxis]  # row a: basis a's exponent
-        tables = (geometric_phases(d, theta, exponents, sign).thetas for sign in (+1, -1))
-        return BasisAssignment(tuple(tables), LabelConvention.STANDARD)
+        """Both parties' settings, built once per config by the mode's builder in MODES."""
+        return MODES[self.mode][0](self.state.d, self.theta)
+
+    @cached_property
+    def check(self) -> BellOperator | None:
+        """The mode's Bell check at d from MODES, built once per config; None: no score."""
+        return MODES[self.mode][1](self.state.d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,6 +186,14 @@ def test_simulate_json_is_strict_json_when_no_round_is_sifted(capsys):
     }
 
 
+def test_simulate_ndeb_at_d_4_is_not_scored(capsys):
+    """NDEB's (4, 4) tables pass estimate_violation's shape check at d = 4; only its
+    mode's check, None, keeps the run unscored."""
+    code, out, err = run_cli(capsys, "simulate", "--d", "4", "--mode", "NDEB", "--format", "json")
+    assert (code, err) == (0, "")
+    assert not any(key.startswith("violation") for key in json.loads(out)["result"])
+
+
 def test_simulate_psi5_agreement(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -639,18 +647,21 @@ def test_validation_message(argv, state_file, message, tmp_path, capsys):
 
 def test_out_file_is_utf8_under_an_ascii_locale(tmp_path, capsys):
     """spectrum's text holds an em dash; under LC_ALL=C without UTF-8 mode, --out
-    once failed to encode it, exited 2 and left an empty file behind."""
+    once failed to encode it, exited 2 and left an empty file behind, and stdout
+    failed the same way and printed nothing.  Both now get the UTF-8 bytes."""
     path = tmp_path / "ascii.txt"
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
     env.update(LC_ALL="C", PYTHONUTF8="0",
                PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
-    argv = ["spectrum", "--d", "5", "--state", "psi5", "--out"]
-    done = subprocess.run([sys.executable, "-m", "quditbell.cli", *argv, str(path)],
-                          env=env, capture_output=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
-    assert run_cli(capsys, *argv, str(tmp_path / "utf8.txt")) == (0, "", "")
-    assert path.read_bytes() == (tmp_path / "utf8.txt").read_bytes()
-    assert "\u2014".encode() in path.read_bytes()
+    argv = ["spectrum", "--d", "5", "--state", "psi5"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "utf8.txt")) == (0, "", "")
+    expected = (tmp_path / "utf8.txt").read_bytes()
+    assert "\u2014".encode() in expected
+    for out in (["--out", str(path)], []):  # the file, then stdout
+        done = subprocess.run([sys.executable, "-m", "quditbell.cli", *argv, *out],
+                              env=env, capture_output=True)
+        assert (done.returncode, done.stderr, done.stdout) == (0, b"", b"" if out else expected)
+    assert path.read_bytes() == expected
 
 
 SECURITY_TEXT = """\

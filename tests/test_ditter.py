@@ -92,8 +92,11 @@ def test_validators_reject_nan(build, error, message):
         (lambda: make_state(1, [1]), InvalidDimensionError, "need dimension >= 2, got 1"),
         (lambda: make_state(3, [1, 1]), DimensionMismatchError,
          r"expected 3 coefficients, got shape \(2,\)"),
+        (lambda: product_phases(geometric_phases(5, 1j, 1), geometric_phases(5, 1j, 2), 0, 4),
+         ExponentConstraintError, r"need 1 <= i <= 3 and i \+ j = 4, got \(i, j\) = \(0, 4\)"),
     ],
-    ids=["power-exponent", "phase-vector-length", "state-dimension", "state-length"],
+    ids=["power-exponent", "phase-vector-length", "state-dimension", "state-length",
+         "product-exponents"],
 )
 def test_validators_reject_bad_dimensions_and_exponents(build, error, message):
     with pytest.raises(error, match=message):

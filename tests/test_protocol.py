@@ -46,6 +46,16 @@ def test_config_validation():
     for mode, bases in ((HDDEB_MODE, 3), (NDEB_MODE, 4)):
         settings = ProtocolConfig(state=state, mode=mode).settings
         assert [table.shape for table in settings.phase_tables] == [(bases, 3)] * 2
+    # the check: hdDEB's built-in hCHSH-d operator where one exists, else none
+    for d in range(2, 8):
+        hddeb = ProtocolConfig(state=maximally_entangled(d)).check
+        if d in (3, 4, 5):
+            assert hddeb.coefficients.tobytes() == builtin_operator(d).coefficients.tobytes()
+        else:
+            assert hddeb is None
+        assert ProtocolConfig(state=maximally_entangled(d), mode=NDEB_MODE).check is None
+    with pytest.raises(AttributeError):  # read-only: a frozen config's cached value
+        ProtocolConfig(state=state).check = None
 
 
 def test_perfect_sifted_agreement_max_entangled():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,3 +119,5 @@ def test_table_renderings():
     assert "v < 2.0000" in text
     comparison = comparison_table_text()
     assert "1.5052" in comparison and "both" in comparison
+    one_insecure = dataclasses.replace(comparison_report(3), hddeb_secure=False)
+    assert comparison_table_text([one_insecure]).splitlines()[-1].endswith("NO")

@@ -152,10 +152,10 @@ def config_of(case: dict) -> ProtocolConfig:
 
 
 def fingerprint(case: dict) -> tuple[str, str, str | None]:
-    transcript, summary = run_protocol(config_of(case))
+    transcript, summary = run_protocol(config := config_of(case))
     estimate = None
-    if case["mode"] == HDDEB_MODE:
-        estimate = repr(estimate_violation(transcript, builtin_operator(case["d"])))
+    if config.check is not None:
+        estimate = repr(estimate_violation(transcript, config.check))
     return sha(transcript_csv_string(transcript)), sha(summary.to_json()), estimate
 
 
@@ -275,7 +275,7 @@ def test_columnar_matches_per_round_oracle(d, mode, noise, rounds, seed):
     state = psi5() if d == 5 else maximally_entangled(d)
     config = ProtocolConfig(state=state, noise=noise, rounds=rounds, rng_seed=seed, mode=mode)
     transcript, summary = run_protocol(config)
-    t = builtin_operator(d) if mode == HDDEB_MODE else None
+    t = config.check
     assert len(transcript) == rounds
     assert same(columnar(transcript, t), oracle(rows(transcript), d, t))
     assert summary.to_json() == summarize(transcript).to_json()
