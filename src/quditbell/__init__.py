@@ -17,18 +17,12 @@ from .algebra import (
     roots_of_unity,
 )
 from .ditter import (
-    DitterObservable,
-    ExponentConstraintError,
     InvalidPhaseError,
     LabelConvention,
     PhaseVector,
-    ditter_observable,
     ditter_unitaries,
     geometric_phases,
     outcome_distribution,
-    power_observable,
-    product_observable,
-    product_phases,
 )
 from .bell import (
     BasisAssignment,

@@ -5,11 +5,14 @@ T = sum_{a,b} C[a, b] A1^{d-1-a} A2^a B1^{d-1-b} B2^b, homogeneous of degree
 d-1 per party, held as its (d, d) complex coefficient matrix C.  Entry C[a, b]
 belongs to Alice's setting a and Bob's setting b, the basis pair the protocol
 rounds record, and a zero entry is an absent monomial.
-Under local realism, with all four variables taking d-th-root-of-unity values,
+In the two-variable local model, one d-th-root-of-unity value for each of
+A1, A2, B1 and B2,
 
     Re( rotation_phase * T ) / (d^2 cos(pi/d)) <= 1,
 
-where rotation_phase = e^{i pi/d}.  Quantum mechanically each monomial becomes
+where rotation_phase = e^{i pi/d}.  A local model that gives each of a party's
+d settings its own outcome is not covered: for hCHSH-d it reaches 4, 3 and
+3.047 at d = 3, 4, 5.  Quantum mechanically each monomial becomes
 a product ditter observable and the left-hand side can exceed 1; the value v
 is the violation factor.  BellOperator holds both constants (.rotation_phase,
 .classical_norm), splits v into per-round .score_tables and needs d >= 3.
@@ -271,8 +274,10 @@ LHV_MAX_DIMENSION = 6
 
 
 def lhv_max(t: BellOperator) -> float:
-    """Exact local-realism maximum by enumerating all d^4 deterministic
-    strategies (root-of-unity value for each of A1, A2, B1, B2)."""
+    """Maximum of the two-variable local model by enumerating all d^4
+    deterministic strategies (one root-of-unity value for each of A1, A2, B1,
+    B2).  A model giving each of a party's d settings its own outcome reaches
+    more: 4, 3 and 3.047 at d = 3, 4, 5 for the built-in operators."""
     d = t.d
     if d > LHV_MAX_DIMENSION:
         raise InvalidDimensionError(

@@ -9,7 +9,8 @@ a unitary observable with d-th-root-of-unity outcomes:
 
 Products Z_Theta^i Z_Lambda^j with i + j = d - 1 are again single-ditter
 observables, up to detecting Z^dag instead of Z, i.e. relabeling detector k
-from omega^k to omega^{-k}.  The phase vector of the combined device is
+from omega^k to omega^{-k}: Z_Theta^i Z_Lambda^j = Z_Gamma^dag, where Gamma,
+mixed row j of party_phase_table(Theta, Lambda) for 1 <= i <= d-2, is
 
     gamma_k = theta_k theta_{k+1} .. theta_{k-i-1}
               * lambda_{k-i} lambda_{k-i+1} .. lambda_k   (indices mod d)
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -33,10 +34,6 @@ PHASE_TOL = 1e-9
 
 class InvalidPhaseError(ValueError):
     """A phase-shift entry is not unit modulus."""
-
-
-class ExponentConstraintError(ValueError):
-    """Product exponents (i, j) violate 1 <= i <= d-2, i + j = d-1."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,43 +75,6 @@ class LabelConvention(enum.Enum):
         return complex_product(*np.ix_(self.labels(d), self.labels(d)))
 
 
-@dataclass(frozen=True)
-class DitterObservable:
-    """A ditter plus detector labeling, as a unitary observable.
-
-    The observable matrix is Z_Theta for the standard convention and
-    Z_Theta^dag for the conjugate one; either way its eigenvalues are d-th
-    roots of unity and the measurement is "apply the ditter unitary, see which
-    detector fires".
-    """
-
-    phases: PhaseVector
-    label_convention: LabelConvention = LabelConvention.STANDARD
-
-    @property
-    def d(self) -> int:
-        return self.phases.d
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return observable_matrices(self.phases.thetas[np.newaxis], self.label_convention)[0]
-
-    @cached_property
-    def ditter_unitary(self) -> np.ndarray:
-        """The physical transformation F @ diag(phases) applied before detection."""
-        return ditter_unitaries(self.phases.thetas[np.newaxis])[0]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Complex outcome label reported by each detector index."""
-        return self.label_convention.labels(self.d)
-
-
-def ditter_observable(phases: PhaseVector) -> DitterObservable:
-    """Standard-convention observable Z_Theta for the given phase shifts."""
-    return DitterObservable(phases, LabelConvention.STANDARD)
-
-
 def geometric_phases(d: int, base: complex | np.ndarray, a: int | np.ndarray,
                      sign: int = 1) -> PhaseVector:
     """Phase vector (1, theta^a, theta^{2a}, ..) with theta = base, or its
@@ -124,20 +84,6 @@ def geometric_phases(d: int, base: complex | np.ndarray, a: int | np.ndarray,
     if not (abs(abs(base) - 1.0) <= PHASE_TOL).all():  # NaN fails too
         raise InvalidPhaseError(f"base phase must be unit modulus, got |{base}|")
     return PhaseVector(d, base[..., np.newaxis] ** (sign * a * np.arange(d)))
-
-
-def product_phases(theta: PhaseVector, lam: PhaseVector, i: int, j: int) -> PhaseVector:
-    """Phase vector Gamma of the single ditter realizing Z_Theta^i Z_Lambda^j.
-
-    Valid for 1 <= i <= d-2 with j = d-1-i; the returned Gamma satisfies
-    Z_Theta^i Z_Lambda^j == Z_Gamma^dag.
-    """
-    d = theta.d
-    if not (1 <= i <= d - 2) or i + j != d - 1:
-        raise ExponentConstraintError(
-            f"need 1 <= i <= {d - 2} and i + j = {d - 1}, got (i, j) = ({i}, {j})"
-        )
-    return PhaseVector(d, party_phase_table(theta, lam)[..., j, :])
 
 
 def party_phase_table(x: PhaseVector, y: PhaseVector) -> np.ndarray:
@@ -172,26 +118,6 @@ def observable_matrices(thetas: np.ndarray, convention: LabelConvention) -> np.n
 def ditter_unitaries(thetas: np.ndarray) -> np.ndarray:
     """(n, d, d) stack of ditter unitaries F @ diag(Theta), one per row of thetas."""
     return fourier_matrix(thetas.shape[1]) * thetas[:, np.newaxis, :]
-
-
-def product_observable(
-    theta: PhaseVector, lam: PhaseVector, i: int, j: int
-) -> DitterObservable:
-    """The product Z_Theta^i Z_Lambda^j as one conjugate-convention device."""
-    return DitterObservable(product_phases(theta, lam, i, j), LabelConvention.CONJUGATE)
-
-
-def power_observable(phases: PhaseVector, exponent: int) -> DitterObservable:
-    """Z_Theta^exponent for exponent in {1, d-1}; d-1 gives Z_Theta^dag, i.e.
-    the same ditter read with conjugate labels."""
-    d = phases.d
-    if exponent == 1:
-        return DitterObservable(phases, LabelConvention.STANDARD)
-    if exponent == d - 1:
-        return DitterObservable(phases, LabelConvention.CONJUGATE)
-    raise ExponentConstraintError(
-        f"pure powers supported for exponent 1 or {d - 1}, got {exponent}"
-    )
 
 
 def outcome_distribution(state: EntangledState, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:

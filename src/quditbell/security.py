@@ -66,9 +66,9 @@ def secure_channel_condition(v: float, d: int) -> float:
 
 
 def security_criterion(d: int | float, fidelity: float | None = None) -> float:
-    """Maximal violation compatible with the cloning attack going unnoticed:
-    v < (d - 1)/(d F_A - 1).  A protocol whose working violation exceeds this
-    bound detects the cloner.  For d = inf the limit is 2."""
+    """The bound of the security criterion v < (d - 1)/(d F_A - 1).  The cloner
+    scales a working violation v to v / criterion, so a protocol detects it
+    exactly when v < criterion.  For d = inf the limit is 2."""
     if fidelity is None:
         try:
             fidelity = CLONER_FIDELITY[d]

@@ -10,28 +10,37 @@ tables and matrices must match byte for byte.  ``optimize_basis_loop``
 and ``theta_scan_two_pass`` are the basis searches as separate loops over
 ``kron_violation``, one basis at a time, which ``optimize_basis`` and
 ``theta_scan`` must match in the value and in the basis chosen.
+``Ditter`` is the single-device view of one phase row: its matrix comes
+from ``_observable_matrix``, its unitary is F @ diag(Theta) and its labels
+are its convention's, none of them from the library's stacked builders, so
+``kron_violation`` and ``bell_matrix`` share no matrix-building code with
+``bell.violation_stack``.
 ``observables`` reads any BasisAssignment, a Bell basis or a protocol
-config's settings, as one DitterObservable per table row; ``ndeb_observables``
-builds the NDEB settings one observable at a time.
+config's settings, as one Ditter per table row; ``ndeb_observables``
+builds the NDEB settings one device at a time.
 ``pair_samples_loop`` multiplies out every round's outcome-label product,
 and ``pair_correlations_loop`` and ``estimate_violation_loop`` are the
 summary's correlations and the violation estimate computed from those
 products, which the table lookups of ``summarize`` and ``estimate_violation``
 must match bit for bit.
 ``lhv_max_loop`` is the local-realism maximum one deterministic strategy at
-a time.  ``rotation_phase`` and ``classical_norm`` compute the hCHSH-d
-constants here, not from the ``BellOperator`` under test, so every oracle
-stays independent of its attributes.
+a time, and ``per_setting_bound`` the maximum of the wider local model that
+gives each of the d settings per party its own outcome.  ``rotation_phase``
+and ``classical_norm`` compute the hCHSH-d constants here, not from the
+``BellOperator`` under test, so every oracle stays independent of its
+attributes.
 """
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from quditbell.algebra import complex_product
+from quditbell.algebra import complex_product, fourier_matrix
 from quditbell.bell import (
     CANONICAL_EXPONENTS, assignment_candidates, exponent_basis, reference_theta
 )
-from quditbell.ditter import DitterObservable, PhaseVector, ditter_observable, geometric_phases
+from quditbell.ditter import LabelConvention, PhaseVector, geometric_phases
 from quditbell.protocol import InsufficientDataError
 
 
@@ -45,15 +54,39 @@ def classical_norm(d: int) -> float:
     return d * d * np.cos(np.pi / d)
 
 
+@dataclass(frozen=True)
+class Ditter:
+    """One ditter read with one label convention: Z_Theta under standard labels,
+    Z_Theta^dag under conjugate ones."""
+
+    phases: PhaseVector
+    label_convention: LabelConvention = LabelConvention.STANDARD
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _observable_matrix(self.phases.thetas,
+                                  self.label_convention is LabelConvention.CONJUGATE)
+
+    @cached_property
+    def ditter_unitary(self) -> np.ndarray:
+        """F @ diag(Theta), the transformation applied before detection."""
+        return fourier_matrix(self.phases.d) @ np.diag(self.phases.thetas)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Complex outcome label reported by each detector index."""
+        return self.label_convention.labels(self.phases.d)
+
+
 def observables(basis, party: int) -> list:
-    """One DitterObservable per row of the basis's phase table for party 0
-    (Alice) or 1 (Bob), each with the basis's label convention."""
-    return [DitterObservable(PhaseVector(len(row), row), basis.label_convention)
+    """One Ditter per row of the basis's phase table for party 0 (Alice) or
+    1 (Bob), each with the basis's label convention."""
+    return [Ditter(PhaseVector(len(row), row), basis.label_convention)
             for row in basis.phase_tables[party]]
 
 
 def factors(a: int, b: int, basis):
-    """Alice's a-th and Bob's b-th observable objects, looked up one at a time."""
+    """Alice's a-th and Bob's b-th devices, looked up one at a time."""
     return observables(basis, 0)[a], observables(basis, 1)[b]
 
 
@@ -64,11 +97,11 @@ def entries(t) -> list:
 
 
 def ndeb_observables(d: int, theta=None) -> tuple[list, list]:
-    """The NDEB settings built one observable at a time: four geometric
+    """The NDEB settings built one device at a time: four geometric
     single-ditter bases per party, Bob's in the conjugate phase family."""
     theta = theta if theta is not None else reference_theta(d)
-    alice = [ditter_observable(geometric_phases(d, theta, a, +1)) for a in range(4)]
-    bob = [ditter_observable(geometric_phases(d, theta, b, -1)) for b in range(4)]
+    alice = [Ditter(geometric_phases(d, theta, a, +1)) for a in range(4)]
+    bob = [Ditter(geometric_phases(d, theta, b, -1)) for b in range(4)]
     return alice, bob
 
 
@@ -221,3 +254,16 @@ def lhv_max_loop(t) -> float:
                     for a, b, c in entries(t))
         best = max(best, (rotation_phase(d) * total).real / classical_norm(d))
     return float(best)
+
+
+def per_setting_bound(t, convention) -> float:
+    """max over every outcome x_a of each of Alice's d settings and y_b of each
+    of Bob's of sum_{a,b} W[a, b][x_a, y_b], W the operator's score tables: per
+    row x of Alice's d^d, each b takes its own best y, so sum_b max_y sum_a."""
+    d = t.d
+    w = np.zeros((d, d, d, d))
+    for a, b, table in t.score_tables(convention):
+        w[a, b] = table
+    rows = np.array(list(itertools.product(range(d), repeat=d)))
+    by_bob = sum(w[a][:, rows[:, a], :] for a in range(d))  # (b, row, y)
+    return float(by_bob.max(axis=-1).sum(axis=0).max())

@@ -12,7 +12,7 @@ import pytest
 
 import quditbell as qb
 from quditbell.bell import builtin_operator, canonical_basis, lhv_max, optimize_basis, protocol_basis, violation
-from quditbell.ditter import ditter_observable, power_observable, product_observable
+from quditbell.ditter import LabelConvention, observable_matrices, party_phase_table
 from quditbell.protocol import (
     ProtocolConfig,
     correlation_spectrum,
@@ -94,10 +94,14 @@ def test_criterion_05_product_observable_identity():
             for _ in range(100):
                 theta = qb.PhaseVector(d, np.exp(2j * np.pi * rng.random(d)))
                 lam = qb.PhaseVector(d, np.exp(2j * np.pi * rng.random(d)))
-                lhs = np.linalg.matrix_power(
-                    ditter_observable(theta).matrix, i
-                ) @ np.linalg.matrix_power(ditter_observable(lam).matrix, j)
-                err = np.abs(lhs - product_observable(theta, lam, i, j).matrix).max()
+                z_theta, z_lam = observable_matrices(
+                    np.stack([theta.thetas, lam.thetas]), LabelConvention.STANDARD
+                )
+                lhs = np.linalg.matrix_power(z_theta, i) @ np.linalg.matrix_power(z_lam, j)
+                product = observable_matrices(
+                    party_phase_table(theta, lam), LabelConvention.CONJUGATE
+                )[j]
+                err = np.abs(lhs - product).max()
                 worst = max(worst, err)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -113,13 +117,12 @@ def test_criterion_06_dual_form_and_adjoint_power():
         for _ in range(100):
             phases = qb.PhaseVector(d, np.exp(2j * np.pi * rng.random(d)))
             u = f @ np.diag(phases.thetas)
-            z = ditter_observable(phases).matrix
+            z = observable_matrices(phases.thetas[None], LabelConvention.STANDARD)[0]
+            z_dag = observable_matrices(phases.thetas[None], LabelConvention.CONJUGATE)[0]
             worst = max(worst, np.abs(z - u.conj().T @ z_diag @ u).max())
             zpow = np.linalg.matrix_power(z, d - 1)
             worst = max(worst, np.abs(zpow - z.conj().T).max())
-            worst = max(
-                worst, np.abs(zpow - power_observable(phases, d - 1).matrix).max()
-            )
+            worst = max(worst, np.abs(zpow - z_dag).max())
     ok = worst <= 1e-12
     report(6, ok, f"dual-form identity and Z^(d-1) = Z† hold, max error {worst:.2e}")
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 from unittest import mock
@@ -57,6 +58,7 @@ from dense_oracle import (
     observable_table_loop,
     observables,
     optimize_basis_loop,
+    per_setting_bound,
     theta_scan_two_pass,
 )
 
@@ -341,6 +343,32 @@ def test_lhv_max_refuses_large_dimension():
     t = BellOperator(7, np.ones((7, 7)))
     with pytest.raises(InvalidDimensionError):
         lhv_max(t)
+
+
+@pytest.mark.parametrize("convention", list(LabelConvention))
+@pytest.mark.parametrize("d", [3, 4])
+def test_per_setting_bound_equals_brute_force(d, convention):
+    """The oracle's per-Alice-row maximum equals the score over every pair of
+    Alice's and Bob's d^d outcome rows, each setting with its own outcome."""
+    t = builtin_operator(d)
+    rows = np.array(list(itertools.product(range(d), repeat=d)))
+    total = np.zeros((len(rows), len(rows)))
+    for a, b, w in t.score_tables(convention):
+        total += w[np.ix_(rows[:, a], rows[:, b])]
+    assert abs(per_setting_bound(t, convention) - total.max()) <= 1e-12
+
+
+@pytest.mark.parametrize("convention", list(LabelConvention))
+@pytest.mark.parametrize("d,expected", [(3, 4.0), (4, 3.0), (5, 3.047213595499958)])
+def test_per_setting_bound_values(d, expected, convention):
+    """The bound of 1 covers the two-variable model (one root-of-unity value each
+    for A1, A2, B1, B2); a model giving each of the d settings per party its own
+    outcome reaches 4, 3 and 3.047 at d = 3, 4, 5, above the quantum optimum."""
+    t = builtin_operator(d)
+    bound = per_setting_bound(t, convention)
+    assert abs(bound - expected) <= 1e-12
+    assert lhv_max(t) <= 1 + 1e-9 and lhv_max(t) <= bound
+    assert optimize_basis(STATES[d](), t)[1] <= bound
 
 
 @pytest.mark.parametrize(

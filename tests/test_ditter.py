@@ -13,24 +13,33 @@ from quditbell.algebra import (
 )
 from quditbell.bell import exponent_basis
 from quditbell.ditter import (
-    DitterObservable,
-    ExponentConstraintError,
     InvalidPhaseError,
     LabelConvention,
     PhaseVector,
-    ditter_observable,
+    ditter_unitaries,
     geometric_phases,
+    observable_matrices,
     outcome_distribution,
-    power_observable,
-    product_observable,
-    product_phases,
+    party_phase_table,
 )
 
-from dense_oracle import noisy_density, observables, product_phases_loop
+from dense_oracle import Ditter, noisy_density, observables, product_phases_loop
+
+STANDARD, CONJUGATE = LabelConvention.STANDARD, LabelConvention.CONJUGATE
 
 
 def random_phases(d, rng):
     return PhaseVector(d, np.exp(2j * np.pi * rng.random(d)))
+
+
+def z(phases: PhaseVector, convention=STANDARD) -> np.ndarray:
+    """The library's observable matrix of one phase vector."""
+    return observable_matrices(phases.thetas[np.newaxis], convention)[0]
+
+
+def unitary(phases: PhaseVector) -> np.ndarray:
+    """The library's ditter unitary of one phase vector."""
+    return ditter_unitaries(phases.thetas[np.newaxis])[0]
 
 
 def dual_form(phases: PhaseVector) -> np.ndarray:
@@ -48,17 +57,15 @@ def test_explicit_form_matches_dual_form(d):
     rng = np.random.default_rng(d)
     for _ in range(20):
         phases = random_phases(d, rng)
-        obs = ditter_observable(phases)
-        assert np.abs(obs.matrix - dual_form(phases)).max() < 1e-12
+        assert np.abs(z(phases) - dual_form(phases)).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_observable_is_unitary_with_root_outcomes(d):
     rng = np.random.default_rng(d)
-    obs = ditter_observable(random_phases(d, rng))
-    z = obs.matrix
-    assert np.allclose(z @ z.conj().T, np.eye(d), atol=1e-12)
-    eigs = np.linalg.eigvals(z)
+    obs = z(random_phases(d, rng))
+    assert np.allclose(obs @ obs.conj().T, np.eye(d), atol=1e-12)
+    eigs = np.linalg.eigvals(obs)
     assert np.abs(np.sort(eigs**d) - 1.0).max() < 1e-9
 
 
@@ -85,18 +92,13 @@ def test_validators_reject_nan(build, error, message):
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        (lambda: power_observable(geometric_phases(5, 1j, 1), 2), ExponentConstraintError,
-         "exponent 1 or 4, got 2"),
         (lambda: PhaseVector(3, np.ones(4)), DimensionMismatchError,
          r"expected 3 phases, got shape \(4,\)"),
         (lambda: make_state(1, [1]), InvalidDimensionError, "need dimension >= 2, got 1"),
         (lambda: make_state(3, [1, 1]), DimensionMismatchError,
          r"expected 3 coefficients, got shape \(2,\)"),
-        (lambda: product_phases(geometric_phases(5, 1j, 1), geometric_phases(5, 1j, 2), 0, 4),
-         ExponentConstraintError, r"need 1 <= i <= 3 and i \+ j = 4, got \(i, j\) = \(0, 4\)"),
     ],
-    ids=["power-exponent", "phase-vector-length", "state-dimension", "state-length",
-         "product-exponents"],
+    ids=["phase-vector-length", "state-dimension", "state-length"],
 )
 def test_validators_reject_bad_dimensions_and_exponents(build, error, message):
     with pytest.raises(error, match=message):
@@ -105,16 +107,14 @@ def test_validators_reject_bad_dimensions_and_exponents(build, error, message):
 
 def test_power_1_is_the_plain_ditter():
     phases = random_phases(5, np.random.default_rng(5))
-    assert np.array_equal(power_observable(phases, 1).matrix, ditter_observable(phases).matrix)
+    assert np.array_equal(z(phases), Ditter(phases).matrix)
 
 
 def test_conjugate_label_convention_is_adjoint():
     rng = np.random.default_rng(0)
     phases = random_phases(4, rng)
-    std = DitterObservable(phases, LabelConvention.STANDARD)
-    conj = DitterObservable(phases, LabelConvention.CONJUGATE)
-    assert np.abs(conj.matrix - std.matrix.conj().T).max() < 1e-15
-    assert np.allclose(conj.labels, std.labels.conj())
+    assert np.abs(z(phases, CONJUGATE) - z(phases).conj().T).max() < 1e-15
+    assert np.allclose(CONJUGATE.labels(4), STANDARD.labels(4).conj())
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
@@ -122,9 +122,8 @@ def test_power_d_minus_1_is_adjoint(d):
     rng = np.random.default_rng(d)
     for _ in range(10):
         phases = random_phases(d, rng)
-        z = ditter_observable(phases).matrix
-        zpow = np.linalg.matrix_power(z, d - 1)
-        assert np.abs(zpow - power_observable(phases, d - 1).matrix).max() < 1e-12
+        zpow = np.linalg.matrix_power(z(phases), d - 1)
+        assert np.abs(zpow - z(phases, CONJUGATE)).max() < 1e-12
 
 
 def phase_vectors(d):
@@ -137,11 +136,12 @@ def phase_vectors(d):
 @given(data=st.data())
 def test_product_identity_all_exponents(d, data):
     theta, lam = data.draw(phase_vectors(d)), data.draw(phase_vectors(d))
-    z_theta, z_lam = ditter_observable(theta).matrix, ditter_observable(lam).matrix
+    z_theta, z_lam = z(theta), z(lam)
+    products = observable_matrices(party_phase_table(theta, lam), CONJUGATE)
     for i in range(1, d - 1):
         j = d - 1 - i
         lhs = np.linalg.matrix_power(z_theta, i) @ np.linalg.matrix_power(z_lam, j)
-        rhs = product_observable(theta, lam, i, j).matrix
+        rhs = products[j]
         assert np.abs(lhs - rhs).max() < 1e-12
 
     # a basis assignment's tables hold X1^{d-1-a} X2^a for each party
@@ -153,7 +153,7 @@ def test_product_identity_all_exponents(d, data):
         ((geometric_phases(d, base, b1, -1), geometric_phases(d, base, b2, -1)),
          observables(basis, 1)),
     ]:
-        x1, x2 = (ditter_observable(g).matrix for g in generators)
+        x1, x2 = (z(g) for g in generators)
         assert len(table) == d
         for a, obs in enumerate(table):
             expected = np.linalg.matrix_power(x1, d - 1 - a) @ np.linalg.matrix_power(x2, a)
@@ -166,19 +166,8 @@ def test_product_phases_equal_loop_bytes(d):
     for _ in range(8):
         theta, lam = random_phases(d, rng), random_phases(d, rng)
         for i in range(1, d - 1):
-            gammas = product_phases(theta, lam, i, d - 1 - i).thetas
+            gammas = party_phase_table(theta, lam)[d - 1 - i]
             assert gammas.tobytes() == product_phases_loop(theta, lam, i).tobytes()
-
-
-def test_product_phases_rejects_bad_exponents():
-    rng = np.random.default_rng(1)
-    theta, lam = random_phases(5, rng), random_phases(5, rng)
-    with pytest.raises(ExponentConstraintError):
-        product_phases(theta, lam, 0, 4)
-    with pytest.raises(ExponentConstraintError):
-        product_phases(theta, lam, 4, 0)
-    with pytest.raises(ExponentConstraintError):
-        product_phases(theta, lam, 2, 3)
 
 
 def test_geometric_phases():
@@ -189,11 +178,11 @@ def test_geometric_phases():
     assert np.allclose(pv_conj.thetas, pv.thetas.conj())
 
 
-def dense_distribution(rho, a: DitterObservable, b: DitterObservable) -> np.ndarray:
+def dense_distribution(rho, a: Ditter, b: Ditter) -> np.ndarray:
     """Oracle: the diagonal of (U_A x U_B) rho (U_A x U_B)^dag, built from the
     d^2 x d^2 Kronecker product."""
     u = np.kron(a.ditter_unitary, b.ditter_unitary)
-    d = a.d
+    d = a.phases.d
     return np.einsum("ij,jk,ik->i", u, rho, u.conj()).real.reshape(d, d)
 
 
@@ -204,9 +193,9 @@ def test_outcome_distribution_normalized_and_matches_density_path():
     for d in range(2, 10):
         for noise in (0.0, 0.3, 1.0):
             state = make_state(d, rng.normal(size=d) + 1j * rng.normal(size=d))
-            a = ditter_observable(random_phases(d, rng))
-            b = ditter_observable(random_phases(d, rng))
-            dist = outcome_distribution(state, a.ditter_unitary, b.ditter_unitary)
+            a = Ditter(random_phases(d, rng))
+            b = Ditter(random_phases(d, rng))
+            dist = outcome_distribution(state, unitary(a.phases), unitary(b.phases))
             probs = (1 - noise) * dist + noise / d**2
             assert probs.shape == (d, d)
             assert abs(probs.sum() - 1.0) < 1e-12
@@ -225,9 +214,9 @@ def test_outcome_distribution_rejects_mismatched_unitaries():
 def test_matched_conjugate_bases_anticorrelate_detectors():
     d = 4
     theta = np.exp(1j * np.pi / (2 * d))
-    a = ditter_observable(geometric_phases(d, theta, 1, +1))
-    b = ditter_observable(geometric_phases(d, theta, 1, -1))
-    dist = outcome_distribution(maximally_entangled(d), a.ditter_unitary, b.ditter_unitary)
+    a = geometric_phases(d, theta, 1, +1)
+    b = geometric_phases(d, theta, 1, -1)
+    dist = outcome_distribution(maximally_entangled(d), unitary(a), unitary(b))
     for k in range(d):
         for kp in range(d):
             expected = 1.0 / d if (k + kp) % d == 0 else 0.0

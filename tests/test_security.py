@@ -104,6 +104,17 @@ def test_comparison_report(d):
     assert abs(doc["gap"] - (r.v_max_secure - r.v_ndeb)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_secure_iff_noise_threshold_below_criterions(d):
+    """The cloner's noise 1 - 1/criterion scales a working violation v to
+    v / criterion, so it is detected iff v < criterion, i.e. iff the noise
+    threshold 1 - 1/v lies below that noise, for both protocols."""
+    r = comparison_report(d)
+    edge = 1 - 1 / security_criterion(d)
+    assert r.ndeb_secure == (noise_threshold(r.v_ndeb) < edge)
+    assert r.hddeb_secure == (noise_threshold(r.v_hddeb) < edge)
+
+
 def test_gap_values_increase():
     gaps = [comparison_report(d).gap for d in (3, 4, 5)]
     for gap, ref in zip(gaps, (0.072, 0.101, 0.120)):
